@@ -118,6 +118,11 @@ def load_model(path) -> EncoderModel:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidParams(f"{path}: not a valid model artifact: {exc}")
+    if not isinstance(doc, dict):
+        raise InvalidParams(
+            f"{path}: not a valid model artifact: top level is "
+            f"{type(doc).__name__}, expected an object"
+        )
     if doc.get("schema") != SCHEMA:
         raise InvalidParams(
             f"{path}: unsupported schema {doc.get('schema')!r}, expected "

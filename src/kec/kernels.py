@@ -7,7 +7,11 @@ Three built-in kernels are provided:
   origin-centered distance-to-kernel transform
   k(x, u) = (||x|| + ||u|| - ||x - u||) / 2.
 - ``spearman``: Pearson correlation of average-rank vectors (ties get
-  average ranks; a constant rank vector yields 0 rather than NaN).
+  average ranks; a constant rank vector yields 0 rather than NaN). Ranks
+  come from one unstable argsort per row with each run of tied values
+  given the mean of its positions, O(p log p) per row; the order of tied
+  values inside a run cannot change their average, so no stable sort is
+  needed.
 
 The scalar functions and the matrix evaluator ``kernel_cross`` are built
 from the same elementwise operations and trailing-axis reductions, so
@@ -25,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DegenerateLength, DimensionMismatch, UnknownKernel
 
@@ -71,9 +74,37 @@ def distance_induced(x, u) -> float:
     return float((_sq_norm(x) + _sq_norm(u) - _sq_norm(x - u)) / 2.0)
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based average ranks along the trailing axis; NaN rows give NaN.
+
+    Ranks are half-integers, exact in float64, so the result equals
+    ``scipy.stats.rankdata(a, method="average", axis=-1)`` bitwise.
+    """
+    order = np.argsort(a, axis=-1)
+    s = np.take_along_axis(a, order, axis=-1)
+    p = a.shape[-1]
+    sorted_ranks = np.broadcast_to(np.arange(1.0, p + 1.0), s.shape).copy()
+    tied = s[..., 1:] == s[..., :-1]
+    if tied.any():
+        # Each run of equal sorted values takes the mean of its first and
+        # last position. Runs never cross rows: every row opens a run.
+        rows = sorted_ranks.reshape(-1, p)
+        opens = np.ones(rows.shape, dtype=bool)
+        np.logical_not(tied.reshape(-1, p - 1), out=opens[:, 1:])
+        starts = np.flatnonzero(opens)
+        lengths = np.diff(starts, append=opens.size)
+        means = rows.ravel()[starts] + (lengths - 1) * 0.5
+        rows[...] = np.repeat(means, lengths).reshape(rows.shape)
+    ranks = np.empty(a.shape)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=-1)
+    # argsort puts NaN last, so a row holds a NaN iff its last sorted value is one.
+    ranks[np.isnan(s[..., -1])] = np.nan
+    return ranks
+
+
 def _centered_ranks(a: np.ndarray) -> np.ndarray:
     """Average ranks along the trailing axis, centered per vector."""
-    r = rankdata(a, method="average", axis=-1)
+    r = _average_ranks(a)
     return r - np.mean(r, axis=-1, keepdims=True)
 
 

@@ -17,11 +17,20 @@ import numpy as np
 
 from .data import Dataset, validate
 from .encoder import build_U, build_weights, embed
-from .errors import DimensionMismatch, NoBaselineKernel, NotFitted, ShapeMismatch
+from .errors import (
+    DimensionMismatch,
+    NoBaselineKernel,
+    NonFiniteFeature,
+    NotFitted,
+    ShapeMismatch,
+)
 from .kernels import (
     BASELINE_KERNEL,
     DEFAULT_KERNELS,
+    DISTANCE_INDUCED,
     DISTANCE_TRANSFORM,
+    INNER_PRODUCT,
+    SPEARMAN_RANK,
     Kernel,
     resolve_kernel,
 )
@@ -40,6 +49,11 @@ DEFAULT_SWITCH_THRESHOLD = 0.7
 # switching rule keeps the baseline. At full experimental scale such
 # values underflow to exact ties; at desk scale they need this guard.
 SATURATED_CE = 1e-2
+
+# Dispatch rank of each built-in branch, slowest first, so the longest
+# branch starts at once instead of being the last to finish. Kernels not
+# listed (custom callables on the generic Python loop) rank 0.
+_BRANCH_COST_RANK = {SPEARMAN_RANK: 1, DISTANCE_INDUCED: 2, INNER_PRODUCT: 3}
 
 
 @dataclass(frozen=True)
@@ -134,8 +148,10 @@ def fit(
     Class stats, weights, and class means are built once; the M kernel
     branches are independent (and may run on ``threads`` workers), each
     producing an embedding, an LDA fit on training rows, and a
-    cross-entropy score. The candidate set must contain the inner
-    product, which anchors the switching rule.
+    cross-entropy score. Branches are dispatched slowest first (custom
+    kernels, spearman, distance, linear) and collected back in candidate
+    order, so the result does not depend on the schedule. The candidate
+    set must contain the inner product, which anchors the switching rule.
     """
     if isinstance(kernels, str) or callable(kernels):
         kernels = (kernels,)
@@ -155,9 +171,13 @@ def fit(
     weights = build_weights(dataset.labels, stats)
     class_means = build_U(dataset.features, weights)
     one_hot = weights.one_hot()
-    scores = map_ordered(
-        lambda k: _score_kernel(
-            k,
+    dispatch = sorted(
+        range(len(candidates)),
+        key=lambda m: _BRANCH_COST_RANK.get(candidates[m], 0),
+    )
+    dispatched = map_ordered(
+        lambda m: _score_kernel(
+            candidates[m],
             dataset.features,
             class_means,
             dataset.labels,
@@ -165,9 +185,12 @@ def fit(
             one_hot,
             dataset.num_classes,
         ),
-        candidates,
+        dispatch,
         threads=threads,
     )
+    scores = [None] * len(candidates)
+    for m, score in zip(dispatch, dispatched):
+        scores[m] = score
     chosen = select_kernel(scores, baseline, switch_threshold)
     return EncoderModel(
         class_means=class_means,
@@ -192,6 +215,8 @@ def predict_new(model: EncoderModel, X_new):
             f"model expects {model.num_features} columns, data has "
             f"{X_new.shape[1]}"
         )
+    if not np.isfinite(X_new).all():
+        raise NonFiniteFeature("features contain NaN or infinite values")
     if X_new.shape[0] == 0:
         return (
             np.empty(0, dtype=np.int64),

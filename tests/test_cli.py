@@ -150,6 +150,34 @@ class TestPredict:
         assert res.returncode == 2
         assert "12" in res.stderr and "9" in res.stderr
 
+    def test_non_finite_row_exits_2(self, tmp_path):
+        _, model = self._trained(tmp_path)
+        header = ",".join([f"f{i+1}" for i in range(12)] + ["label"])
+        for literal in ("nan", "inf", "-inf"):
+            bad = tmp_path / f"{literal}.csv"
+            row = ",".join(["0.5"] * 11 + [literal, "0"])
+            bad.write_text(f"{header}\n{row}\n")
+            out = tmp_path / "pred.csv"
+            res = run(
+                "predict", "--model", str(model), "--data", str(bad),
+                "--out", str(out),
+            )
+            assert res.returncode == 2
+            assert "NaN or infinite" in res.stderr
+            assert not out.exists()
+
+    def test_non_object_model_exits_2(self, tmp_path):
+        data = simulate(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text("[]\n")
+        res = run(
+            "predict", "--model", str(model), "--data", str(data),
+            "--out", str(tmp_path / "pred.csv"),
+        )
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "expected an object" in res.stderr
+
 
 class TestCv:
     def test_table_and_records(self, tmp_path):

@@ -109,3 +109,10 @@ class TestArtifact:
         path.write_text("not json")
         with pytest.raises(InvalidParams):
             load_model(path)
+
+    @pytest.mark.parametrize("text", ["[]", "3", "null", '"kec-model/1"'])
+    def test_non_object_top_level_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text + "\n")
+        with pytest.raises(InvalidParams, match="expected an object"):
+            load_model(path)

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from kec.errors import DegenerateLength, DimensionMismatch, UnknownKernel
 from kec.kernels import (
     BUILTIN_KERNELS,
+    _average_ranks,
     distance_induced,
     inner_product,
     kernel_cross,
@@ -79,6 +81,59 @@ class TestSpearman:
             u = rng.normal(size=12)
             assert spearman(transform(x), u) == spearman(x, u)
             assert spearman(x, transform(u)) == spearman(x, u)
+
+
+class TestAverageRanks:
+    """The argsort-based ranks reproduce scipy's average ranks bitwise."""
+
+    def _check(self, a, equal_nan=False):
+        a = np.asarray(a, dtype=np.float64)
+        got = _average_ranks(a)
+        want = rankdata(a, method="average", axis=-1)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=equal_nan)
+
+    def test_continuous_rows(self):
+        rng = np.random.default_rng(20)
+        self._check(rng.normal(size=(50, 37)))
+
+    def test_heavily_tied_rows(self):
+        rng = np.random.default_rng(21)
+        self._check(np.round(2 * rng.normal(size=(50, 37))))
+        self._check(rng.integers(0, 3, size=(40, 64)))
+
+    def test_constant_rows(self):
+        self._check(np.full((3, 9), 4.25))
+        self._check(np.array([[1.0, 1.0, 1.0], [3.0, 1.0, 2.0]]))
+
+    def test_infinities_and_signed_zeros(self):
+        self._check(
+            [
+                [np.inf, -np.inf, 0.0, -0.0, 1.0, np.inf],
+                [-0.0, 0.0, -0.0, 0.0, -np.inf, -np.inf],
+                [-np.inf, -1.0, -0.0, 0.0, 1.0, np.inf],
+            ]
+        )
+
+    def test_nan_rows_become_nan(self):
+        a = np.array(
+            [
+                [1.0, np.nan, 2.0, 2.0],
+                [3.0, 1.0, 2.0, 2.0],
+                [np.nan, np.nan, np.inf, 0.0],
+            ]
+        )
+        self._check(a, equal_nan=True)
+        got = _average_ranks(a)
+        assert np.isnan(got[[0, 2]]).all() and not np.isnan(got[1]).any()
+
+    def test_vector_and_narrow_shapes(self):
+        rng = np.random.default_rng(22)
+        self._check(rng.normal(size=11))
+        self._check([2.0, 1.0, 2.0, 3.0, 1.0])
+        self._check([1.0, np.nan, 0.0], equal_nan=True)
+        self._check(np.round(rng.normal(size=(30, 2))))
+        self._check(np.round(2 * rng.normal(size=(1, 25))))
 
 
 class TestKernelCross:

@@ -9,6 +9,7 @@ from kec import Dataset
 from kec.errors import (
     DimensionMismatch,
     NoBaselineKernel,
+    NonFiniteFeature,
     NotFitted,
     ShapeMismatch,
 )
@@ -152,12 +153,33 @@ class TestFit:
     def test_threads_do_not_change_the_model(self):
         ds = generate(SimSetting("uniform-hd", n=80, p=12, num_classes=3, seed=5))
         m1 = fit(ds, threads=1)
-        m3 = fit(ds, threads=3)
-        assert np.array_equal(m1.cross_entropies, m3.cross_entropies)
-        assert m1.kernel.name == m3.kernel.name
         p1, _ = predict_new(m1, ds.features)
-        p3, _ = predict_new(m3, ds.features)
-        assert np.array_equal(p1, p3)
+        for threads in (2, 3):
+            m = fit(ds, threads=threads)
+            assert np.array_equal(m1.cross_entropies, m.cross_entropies)
+            assert m1.kernel.name == m.kernel.name
+            assert m1.kernel_ids == m.kernel_ids
+            labels, _ = predict_new(m, ds.features)
+            assert np.array_equal(p1, labels)
+
+    def test_candidate_order_does_not_change_entropies(self):
+        def bump(x, u):
+            return float(np.sum(x * u)) + 1.0
+
+        ds = generate(SimSetting("uniform-hd", n=60, p=8, num_classes=3, seed=7))
+        base = fit(ds, kernels=("linear", "distance", "spearman", bump), threads=2)
+        expected = dict(zip(base.kernel_ids, base.cross_entropies))
+        for order in (
+            ("spearman", "linear", "distance"),
+            ("distance", bump, "spearman", "linear"),
+            (bump, "linear", "spearman", "distance"),
+        ):
+            model = fit(ds, kernels=order, threads=2)
+            names = tuple(k if isinstance(k, str) else k.__name__ for k in order)
+            assert model.kernel_ids == names
+            assert tuple(s.kernel.name for s in model.scores) == names
+            for name, ce in zip(model.kernel_ids, model.cross_entropies):
+                assert ce == expected[name]
 
     def test_exactly_m_embeddings_and_no_gram(self, monkeypatch):
         calls = {"cross": 0, "gram": 0}
@@ -208,6 +230,15 @@ class TestPredictNew:
         model = fit(random_dataset(rng, 50, 6, 2))
         with pytest.raises(DimensionMismatch):
             predict_new(model, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_rejected(self, value):
+        rng = np.random.default_rng(11)
+        model = fit(random_dataset(rng, 50, 6, 2))
+        X = rng.normal(size=(4, 6))
+        X[2, 3] = value
+        with pytest.raises(NonFiniteFeature):
+            predict_new(model, X)
 
     def test_unfitted_model(self):
         with pytest.raises(NotFitted):
