@@ -24,6 +24,7 @@ from .evaluation import (
 )
 from .io import load_model, read_csv, save_model, write_csv
 from .kernels import DEFAULT_KERNELS
+from .lda import predict
 from .parallel import resolve_threads
 from .selection import DEFAULT_SWITCH_THRESHOLD, fit, predict_new
 from .simgen import SETTINGS, SimSetting, generate
@@ -127,7 +128,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     dataset = read_csv(args.data, num_classes=args.num_classes)
-    validate(dataset)
     model = fit(
         dataset,
         _comma_list(args.kernels),
@@ -135,8 +135,11 @@ def _cmd_train(args) -> int:
         threads=resolve_threads(args.threads),
     )
     save_model(args.model_out, model)
+    # The chosen branch already embedded every row; predict_new on the
+    # training rows would give the same labels.
     trn = dataset.labels > 0
-    predicted, _ = predict_new(model, dataset.features[trn])
+    chosen = next(s for s in model.scores if s.model is model.lda)
+    predicted = predict(model.lda, chosen.embedding[trn])
     train_error = float(np.mean(predicted != dataset.labels[trn]))
     print("kernel        cross-entropy")
     for name, ce in zip(model.kernel_ids, model.cross_entropies):

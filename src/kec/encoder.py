@@ -86,7 +86,8 @@ def embed(X, U, kernel) -> np.ndarray:
 
     All rows are embedded, including label-0 rows, since U depends only on
     training labels. Rows are independent, so embedding a subset of rows
-    gives exactly the rows of the full embedding.
+    gives exactly the rows of the full embedding. U may be a fitted
+    model's prepared class means, which embed bitwise like the raw ones.
     """
     if np.ndim(X) != 2 or np.ndim(U) != 2 or np.shape(X)[1] != np.shape(U)[1]:
         raise DimensionMismatch(

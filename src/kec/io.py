@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidParams, NotFitted
+from .errors import InvalidParams, KecError, NotFitted
 from .kernels import BUILTIN_KERNELS
 from .lda import LdaModel
 from .selection import EncoderModel
@@ -112,7 +112,15 @@ def save_model(path, model: EncoderModel) -> None:
 
 
 def load_model(path) -> EncoderModel:
-    """Load a model artifact written by save_model."""
+    """Load a model artifact written by save_model.
+
+    The artifact is validated before it is accepted: matrix shapes against
+    ``num_classes`` and ``num_features``, finite values, priors that are
+    positive and sum to 1, a positive-definite covariance, and one
+    cross-entropy per candidate with the chosen kernel among them. The
+    derived serving state (covariance factor, whitening matrix, prepared
+    class means) is rebuilt here; it is not part of the file.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -130,23 +138,59 @@ def load_model(path) -> EncoderModel:
         )
     try:
         kernel = BUILTIN_KERNELS[doc["kernel"]]
-        lda = LdaModel(
-            means=np.array(doc["lda"]["means"], dtype=np.float64),
-            pooled_cov=np.array(doc["lda"]["pooled_cov"], dtype=np.float64),
-            priors=np.array(doc["lda"]["priors"], dtype=np.float64),
-            ridge=float(doc["lda"]["ridge"]),
-        )
-        model = EncoderModel(
-            class_means=np.array(doc["class_means"], dtype=np.float64),
-            kernel=kernel,
-            lda=lda,
-            cross_entropies=np.array(doc["cross_entropies"], dtype=np.float64),
-            kernel_ids=tuple(doc["kernel_ids"]),
-            switch_threshold=float(doc["switch_threshold"]),
-            distance_transform=doc["kernel_params"]["distance_transform"],
-        )
+        shape = (int(doc["num_classes"]), int(doc["num_features"]))
+        class_means = np.array(doc["class_means"], dtype=np.float64)
+        lda_means = np.array(doc["lda"]["means"], dtype=np.float64)
+        pooled_cov = np.array(doc["lda"]["pooled_cov"], dtype=np.float64)
+        priors = np.array(doc["lda"]["priors"], dtype=np.float64)
+        ridge = float(doc["lda"]["ridge"])
+        cross_entropies = np.array(doc["cross_entropies"], dtype=np.float64)
+        kernel_ids = tuple(doc["kernel_ids"])
+        switch_threshold = float(doc["switch_threshold"])
+        distance_transform = doc["kernel_params"]["distance_transform"]
     except (KeyError, TypeError, ValueError) as exc:
         raise NotFitted(f"{path}: incomplete model artifact ({exc})")
-    if model.class_means.ndim != 2 or model.class_means.shape[0] != doc["num_classes"]:
-        raise NotFitted(f"{path}: class-mean matrix shape is inconsistent")
-    return model
+    _check_artifact(
+        path, shape, class_means, lda_means, cross_entropies, kernel_ids, kernel
+    )
+    try:
+        lda = LdaModel(
+            means=lda_means, pooled_cov=pooled_cov, priors=priors, ridge=ridge
+        )
+    except KecError as exc:
+        raise type(exc)(f"{path}: invalid model artifact: {exc}") from None
+    return EncoderModel(
+        class_means=class_means,
+        kernel=kernel,
+        lda=lda,
+        cross_entropies=cross_entropies,
+        kernel_ids=kernel_ids,
+        switch_threshold=switch_threshold,
+        distance_transform=distance_transform,
+    )
+
+
+def _check_artifact(path, shape, class_means, lda_means, cross_entropies,
+                    kernel_ids, kernel) -> None:
+    """Reject what is inconsistent outside the LDA block.
+
+    The LDA block checks its own covariance and priors when constructed.
+    """
+    k, p = shape
+    if k < 1 or p < 1:
+        problem = f"num_classes and num_features must be positive, got {shape}"
+    elif class_means.shape != shape:
+        problem = f"class_means is {class_means.shape}, expected {shape}"
+    elif not np.isfinite(class_means).all():
+        problem = "class_means contains NaN or infinite values"
+    elif lda_means.shape != (k, k):
+        problem = f"lda.means is {lda_means.shape}, expected {(k, k)}"
+    elif cross_entropies.shape != (len(kernel_ids),):
+        problem = (
+            f"{cross_entropies.size} cross-entropies for {len(kernel_ids)} kernels"
+        )
+    elif kernel.name not in kernel_ids:
+        problem = f"kernel {kernel.name!r} is not among kernel_ids {list(kernel_ids)}"
+    else:
+        return
+    raise InvalidParams(f"{path}: invalid model artifact: {problem}")

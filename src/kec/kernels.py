@@ -161,15 +161,59 @@ def _product_reduce(X: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
+# Per-row state of the representatives U that a cross step needs besides
+# U itself. ``_prepare`` computes it once for a fitted model, so serving
+# does not redo it per request; the values are the ones the cross step
+# would compute itself, so prepared and raw U give bitwise-equal results.
+
+def _distance_state(U: np.ndarray) -> tuple:
+    return (_sq_norm(U),)
+
+
+def _spearman_state(U: np.ndarray) -> tuple:
+    cu = _centered_ranks(U)
+    return cu, np.sum(cu * cu, axis=-1)
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """Representative rows plus their precomputed state for one kernel.
+
+    Accepted by ``kernel_cross`` in place of U; reports U's shape and
+    converts to U as an array, so shape checks and hashing see U.
+    """
+
+    rows: np.ndarray  # (K, p) float64, C-contiguous
+    state_fn: Callable
+    state: tuple
+
+    @property
+    def shape(self) -> tuple:
+        return self.rows.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.rows.ndim
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.rows, dtype=dtype, copy=copy)
+
+
+def _state(U, state_fn: Callable) -> tuple:
+    return U.state if isinstance(U, _Prepared) else state_fn(U)
+
+
 def _cross_inner(X: np.ndarray, U: np.ndarray) -> np.ndarray:
     return _product_reduce(X, U, np.empty((X.shape[0], U.shape[0])))
 
 
-def _cross_distance(X: np.ndarray, U: np.ndarray) -> np.ndarray:
+def _cross_distance(X: np.ndarray, U) -> np.ndarray:
+    (nu,) = _state(U, _distance_state)
+    if isinstance(U, _Prepared):
+        U = U.rows
     n, p = X.shape
     k = U.shape[0]
     nx = _sq_norm(X)
-    nu = _sq_norm(U)
     out = np.empty((n, k))
     step = _row_step(n, k, p)
     buf = _scratch_buffer((step, k, p))
@@ -182,14 +226,12 @@ def _cross_distance(X: np.ndarray, U: np.ndarray) -> np.ndarray:
     return (nx[:, None] + nu[None, :] - out) / 2.0
 
 
-def _cross_spearman(X: np.ndarray, U: np.ndarray) -> np.ndarray:
+def _cross_spearman(X: np.ndarray, U) -> np.ndarray:
     if X.shape[1] < 2:
         raise DegenerateLength("spearman needs vectors of length >= 2")
-    cx = _centered_ranks(X)
-    cu = _centered_ranks(U)
-    ssx = np.sum(cx * cx, axis=-1)
-    ssu = np.sum(cu * cu, axis=-1)
-    num = _product_reduce(cx, cu, np.empty((X.shape[0], U.shape[0])))
+    cu, ssu = _state(U, _spearman_state)
+    cx, ssx = _spearman_state(X)
+    num = _product_reduce(cx, cu, np.empty((X.shape[0], cu.shape[0])))
     den = np.sqrt(ssx[:, None] * ssu[None, :])
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
@@ -223,6 +265,8 @@ DEFAULT_KERNELS = ("linear", "distance", "spearman")
 
 # Name of the baseline kernel required by the switching rule.
 BASELINE_KERNEL = "linear"
+
+_STATE_FNS = {DISTANCE_INDUCED: _distance_state, SPEARMAN_RANK: _spearman_state}
 
 
 def _loop_pairwise(scalar: Callable) -> Callable:
@@ -263,9 +307,10 @@ def resolve_kernel(kind) -> Kernel:
 # Matrix evaluation
 # ---------------------------------------------------------------------------
 
-def _as_matrix_pair(X, U) -> tuple[np.ndarray, np.ndarray]:
+def _as_matrix_pair(X, U) -> tuple:
     X = np.ascontiguousarray(X, dtype=np.float64)
-    U = np.ascontiguousarray(U, dtype=np.float64)
+    if not isinstance(U, _Prepared):
+        U = np.ascontiguousarray(U, dtype=np.float64)
     if X.ndim != 2 or U.ndim != 2:
         raise DimensionMismatch("kernel matrices must be 2-D")
     if X.shape[1] != U.shape[1]:
@@ -275,13 +320,31 @@ def _as_matrix_pair(X, U) -> tuple[np.ndarray, np.ndarray]:
     return X, U
 
 
+def _prepare(U, kernel):
+    """U with the per-row state ``kernel``'s cross step reuses, for serving.
+
+    The result stands in for U in ``kernel_cross`` and gives bitwise the
+    same embedding. Kernels with no such state (linear, custom) get the
+    plain float64 matrix back.
+    """
+    U = np.ascontiguousarray(U, dtype=np.float64)
+    state_fn = _STATE_FNS.get(resolve_kernel(kernel))
+    if state_fn is None:
+        return U
+    return _Prepared(U, state_fn, state_fn(U))
+
+
 def kernel_cross(X, U, kernel) -> np.ndarray:
     """Evaluate kernel(X(i,:), U(j,:)) for all i, j; an (n, K) matrix.
 
-    Entries agree bitwise with the scalar kernel for all built-ins.
+    Entries agree bitwise with the scalar kernel for all built-ins. U may
+    also be a prepared operand from ``_prepare`` for the same kernel.
     """
     X, U = _as_matrix_pair(X, U)
-    return resolve_kernel(kernel).pairwise(X, U)
+    k = resolve_kernel(kernel)
+    if isinstance(U, _Prepared) and U.state_fn is not _STATE_FNS.get(k):
+        U = U.rows
+    return k.pairwise(X, U)
 
 
 def kernel_gram(X, kernel) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Multi-kernel pipeline: per-kernel embedding + LDA, cross-entropy scoring,
 and kernel selection with the 30% switching rule.
 
-Cross-entropy is computed on the training rows themselves (the one-hot
-matrix V has zero rows for unknown labels, so test rows contribute
+Cross-entropy is computed on the training rows themselves (rows with an
+unknown label are dropped before summing, so test rows contribute
 nothing). The baseline inner-product kernel is only abandoned when a
 competitor's cross-entropy is at most ``switch_threshold`` times the
 baseline's; the default 0.7 implements the 30% rule, 1.0 recovers a pure
@@ -32,6 +32,7 @@ from .kernels import (
     INNER_PRODUCT,
     SPEARMAN_RANK,
     Kernel,
+    _prepare,
     resolve_kernel,
 )
 from .lda import LdaModel, fit_lda, posterior
@@ -78,6 +79,14 @@ class EncoderModel:
     scores: tuple = field(repr=False, default=())  # all M fitted branches
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD
     distance_transform: str = DISTANCE_TRANSFORM
+    # class_means with the kernel's per-row state (centered ranks, row
+    # norms), derived at construction for predict_new; never serialized.
+    prepared_means: object = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "prepared_means", _prepare(self.class_means, self.kernel)
+        )
 
     @property
     def num_classes(self) -> int:
@@ -91,14 +100,17 @@ class EncoderModel:
 def cross_entropy(T, V) -> float:
     """-sum_ik V(i,k) log T(i,k), with T clipped below at 1e-12.
 
-    Zero rows of V (unknown labels) contribute nothing, so the sum runs
-    over training rows only.
+    The sum runs over the non-zero cells of V only. Zero rows of V
+    (unknown labels) therefore never enter it, so adding or removing them
+    cannot move a bit of the result through the summation order.
     """
     T = np.asarray(T, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
     if T.shape != V.shape:
         raise ShapeMismatch(f"posterior {T.shape} vs one-hot {V.shape}")
-    return float(-np.sum(V * np.log(np.clip(T, LOG_CLIP, None)))) + 0.0
+    cells = np.flatnonzero(V.ravel() != 0.0)
+    v, t = V.ravel().take(cells), T.ravel().take(cells)
+    return float(-np.sum(v * np.log(np.clip(t, LOG_CLIP, None)))) + 0.0
 
 
 def select_kernel(scores, baseline: int, threshold: float = DEFAULT_SWITCH_THRESHOLD) -> int:
@@ -222,7 +234,7 @@ def predict_new(model: EncoderModel, X_new):
             np.empty(0, dtype=np.int64),
             np.empty((0, model.num_classes)),
         )
-    Z = embed(X_new, model.class_means, model.kernel)
+    Z = embed(X_new, model.prepared_means, model.kernel)
     post = posterior(model.lda, Z)
     labels = np.argmax(post, axis=1) + 1
     return labels, post

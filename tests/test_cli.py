@@ -3,6 +3,9 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
+
+from kec import fit, load_model, predict_new, read_csv, save_model
 
 BASE = [sys.executable, "-m", "kec"]
 
@@ -98,6 +101,29 @@ class TestTrain:
         )
         assert res.returncode == 3
 
+    def test_training_error_line_matches_predict_new(self, tmp_path):
+        # a non-zero training error on a non-baseline kernel, labels hidden
+        data = simulate(tmp_path, setting="uniform-hd", n=150, p=6, seed=2)
+        lines = data.read_text().splitlines()
+        lines[1:] = [
+            line.rsplit(",", 1)[0] + ",0" if i % 7 == 0 else line
+            for i, line in enumerate(lines[1:])
+        ]
+        data.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.json"
+        res = run(
+            "train", "--data", str(data), "--model-out", str(model),
+            "--switch-threshold", "1.0",
+        )
+        assert res.returncode == 0, res.stderr
+        ds = read_csv(data)
+        trn = ds.labels > 0
+        predicted, _ = predict_new(load_model(model), ds.features[trn])
+        error = float(np.mean(predicted != ds.labels[trn]))
+        assert error > 0.0
+        assert "selected kernel: distance" in res.stdout
+        assert f"training error: {error:.6g}" in res.stdout.splitlines()
+
 
 class TestPredict:
     def _trained(self, tmp_path):
@@ -177,6 +203,47 @@ class TestPredict:
         assert res.returncode == 2
         assert "Traceback" not in res.stderr
         assert "expected an object" in res.stderr
+
+
+class TestPredictRejectsBadArtifacts:
+    """A corrupt model artifact exits 2 with one line and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "short-priors",
+            "short-lda-means",
+            "negative-priors",
+            "short-cross-entropies",
+            "non-pd-covariance",
+        ],
+    )
+    def test_exits_2_without_output(self, tmp_path, case):
+        data = simulate(tmp_path)
+        model = tmp_path / "model.json"
+        save_model(model, fit(read_csv(data)))
+        doc = json.loads(model.read_text())
+        if case == "short-priors":
+            doc["lda"]["priors"].pop()
+        elif case == "short-lda-means":
+            doc["lda"]["means"].pop()
+        elif case == "negative-priors":
+            doc["lda"]["priors"] = [1.5, -0.25, -0.25]
+        elif case == "short-cross-entropies":
+            doc["cross_entropies"].pop()
+        else:
+            doc["lda"]["pooled_cov"][0][0] = -1.0
+        model.write_text(json.dumps(doc))
+        out = tmp_path / "pred.csv"
+        res = run(
+            "predict", "--model", str(model), "--data", str(data),
+            "--out", str(out),
+        )
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: ")
+        assert not out.exists()
 
 
 class TestCv:

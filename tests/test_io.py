@@ -1,8 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from kec import Dataset, fit, predict_new
-from kec.errors import InvalidParams, NotFitted
+from kec.errors import (
+    DimensionMismatch,
+    InvalidParams,
+    NotFitted,
+    SingularCovariance,
+)
 from kec.io import load_model, read_csv, save_model, write_csv
 from kec.simgen import SimSetting, generate
 
@@ -70,6 +77,23 @@ class TestArtifact:
         assert np.array_equal(l1, l2)
         assert np.array_equal(p1, p2)
 
+    def test_round_trip_rebuilds_derived_state_bitwise(self, tmp_path):
+        ds = rescaled_pattern_dataset(seed=5)
+        model = fit(ds)
+        assert model.kernel.name == "spearman"
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        loaded = load_model(path)
+        for field in ("chol", "whiten", "log_priors"):
+            a, b = getattr(model.lda, field), getattr(loaded.lda, field)
+            assert a.tobytes() == b.tobytes()
+        for a, b in zip(model.prepared_means.state, loaded.prepared_means.state):
+            assert a.tobytes() == b.tobytes()
+        l1, p1 = predict_new(model, ds.features)
+        l2, p2 = predict_new(loaded, ds.features)
+        assert np.array_equal(l1, l2)
+        assert p1.tobytes() == p2.tobytes()
+
     def test_spearman_model_round_trips(self, tmp_path):
         ds = rescaled_pattern_dataset(seed=2)
         model = fit(ds)
@@ -116,3 +140,71 @@ class TestArtifact:
         path.write_text(text + "\n")
         with pytest.raises(InvalidParams, match="expected an object"):
             load_model(path)
+
+
+class TestArtifactValidation:
+    """load_model rejects artifacts that would fail or mislead at predict time."""
+
+    def _doc(self, tmp_path):
+        rng = np.random.default_rng(4)
+        save_model(tmp_path / "good.json", fit(random_dataset(rng, 60, 5, 3)))
+        return json.loads((tmp_path / "good.json").read_text())
+
+    def _load(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        return load_model(path)
+
+    def test_valid_artifact_loads(self, tmp_path):
+        assert self._load(tmp_path, self._doc(tmp_path)).num_classes == 3
+
+    @pytest.mark.parametrize(
+        "mutate, error, message",
+        [
+            (lambda d: d["lda"]["priors"].pop(), DimensionMismatch, "priors"),
+            (lambda d: d["lda"]["means"].pop(), InvalidParams, "lda.means"),
+            (
+                lambda d: d["lda"]["pooled_cov"].pop(),
+                DimensionMismatch,
+                "covariance",
+            ),
+            (lambda d: d["class_means"].pop(), InvalidParams, "class_means"),
+            (
+                lambda d: d["lda"].update(priors=[1.2, -0.1, -0.1]),
+                InvalidParams,
+                "positive",
+            ),
+            (
+                lambda d: d["lda"].update(priors=[0.5, 0.5, 0.5]),
+                InvalidParams,
+                "sum to 1",
+            ),
+            (lambda d: d.update(num_features=4), InvalidParams, "class_means"),
+            (
+                lambda d: d["cross_entropies"].pop(),
+                InvalidParams,
+                "cross-entropies",
+            ),
+            (
+                lambda d: d.update(kernel_ids=["spearman"], cross_entropies=[1.0]),
+                InvalidParams,
+                "kernel_ids",
+            ),
+            (
+                lambda d: d["lda"]["pooled_cov"][0].__setitem__(0, -1.0),
+                SingularCovariance,
+                "positive-definite",
+            ),
+        ],
+    )
+    def test_inconsistent_artifact_rejected(self, tmp_path, mutate, error, message):
+        doc = self._doc(tmp_path)
+        mutate(doc)
+        with pytest.raises(error, match=message):
+            self._load(tmp_path, doc)
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        doc = self._doc(tmp_path)
+        doc["class_means"][1][2] = float("nan")
+        with pytest.raises(InvalidParams, match="NaN"):
+            self._load(tmp_path, doc)

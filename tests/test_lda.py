@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import multivariate_normal, norm
 
-from kec.errors import ClassAbsent, InvalidParams, NotFitted, SingularCovariance
-from kec.lda import fit_lda, posterior, predict
+import kec.lda
+from kec.errors import (
+    ClassAbsent,
+    DimensionMismatch,
+    InvalidParams,
+    NotFitted,
+    SingularCovariance,
+)
+from kec.lda import LdaModel, discriminant_scores, fit_lda, posterior, predict
 
 
 def _two_blob_model(rng, m=200, delta=4.0):
@@ -66,6 +74,79 @@ class TestFit:
         y = np.tile([1, 2], 5)
         with pytest.raises(SingularCovariance):
             fit_lda(z, y, 2)
+
+
+class TestDerivedState:
+    def _model(self, seed=12, k=4, d=4, m=300):
+        rng = np.random.default_rng(seed)
+        y = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, m - k)])
+        mix = rng.normal(size=(d, d)) + 3.0 * np.eye(d)
+        z = rng.normal(size=(m, d)) @ mix + rng.normal(0.0, 2.0, (k, d))[y - 1]
+        return fit_lda(z, y, k), rng
+
+    def test_factor_whitening_and_log_priors(self):
+        model, _ = self._model()
+        d = model.dim
+        cov = model.pooled_cov + model.ridge * np.eye(d)
+        assert np.array_equal(model.chol, np.tril(model.chol))
+        assert np.allclose(model.chol @ model.chol.T, cov, rtol=1e-12, atol=0)
+        assert np.allclose(model.whiten @ model.chol, np.eye(d), atol=1e-12)
+        assert np.array_equal(model.log_priors, np.log(model.priors))
+
+    def test_scores_match_cho_solve_reference(self):
+        model, rng = self._model()
+        z = rng.normal(0.0, 4.0, size=(50, model.dim))
+        factor = cho_factor(model.pooled_cov + model.ridge * np.eye(model.dim))
+        ref = np.empty((z.shape[0], model.num_classes))
+        for c in range(model.num_classes):
+            diff = z - model.means[c]
+            maha = np.sum(diff * cho_solve(factor, diff.T).T, axis=1)
+            ref[:, c] = np.log(model.priors[c]) - 0.5 * maha
+        got = discriminant_scores(model, z)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
+
+    def test_rows_score_alone_as_in_a_batch(self, monkeypatch):
+        model, rng = self._model()
+        z = rng.normal(size=(40, model.dim))
+        full = posterior(model, z)
+        # blocks of 3 rows: every slice below crosses a block boundary
+        monkeypatch.setattr(kec.lda, "_SCORE_BLOCK_ELEMS", 3 * model.dim**2)
+        assert posterior(model, z).tobytes() == full.tobytes()
+        for lo, hi in ((0, 1), (7, 8), (3, 11), (0, 40), (39, 40)):
+            assert posterior(model, z[lo:hi]).tobytes() == full[lo:hi].tobytes()
+
+    def test_non_positive_definite_covariance_rejected(self):
+        with pytest.raises(SingularCovariance):
+            LdaModel(
+                means=np.zeros((2, 2)),
+                pooled_cov=np.array([[1.0, 2.0], [2.0, 1.0]]),
+                priors=np.array([0.5, 0.5]),
+                ridge=0.0,
+            )
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("priors", np.array([1.0]), DimensionMismatch),
+            ("means", np.zeros((1, 2)), DimensionMismatch),
+            ("pooled_cov", np.eye(3), DimensionMismatch),
+            ("priors", np.array([1.5, -0.5]), InvalidParams),
+            ("priors", np.array([0.5, 0.6]), InvalidParams),
+            ("means", np.array([[0.0, np.nan], [1.0, 1.0]]), InvalidParams),
+            ("ridge", -1.0, InvalidParams),
+        ],
+    )
+    def test_invalid_parameters_rejected(self, field, value, error):
+        params = dict(
+            means=np.array([[0.0, 0.0], [1.0, 1.0]]),
+            pooled_cov=np.eye(2),
+            priors=np.array([0.5, 0.5]),
+            ridge=0.0,
+        )
+        LdaModel(**params)
+        params[field] = value
+        with pytest.raises(error):
+            LdaModel(**params)
 
 
 class TestPosterior:

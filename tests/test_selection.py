@@ -6,6 +6,7 @@ import pytest
 import kec.encoder
 import kec.kernels
 from kec import Dataset
+from kec.encoder import embed
 from kec.errors import (
     DimensionMismatch,
     NoBaselineKernel,
@@ -14,6 +15,7 @@ from kec.errors import (
     ShapeMismatch,
 )
 from kec.evaluation import EvalConfig, cross_validate
+from kec.kernels import BUILTIN_KERNELS, _prepare, kernel_cross
 from kec.lda import posterior, predict
 from kec.selection import (
     LOG_CLIP,
@@ -53,6 +55,24 @@ class TestCrossEntropy:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             cross_entropy(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+def _model_arrays(model, X):
+    """Every stored and derived array of a model, and its predictions on X."""
+    lda = model.lda
+    return [
+        model.class_means,
+        model.cross_entropies,
+        lda.means,
+        lda.pooled_cov,
+        lda.priors,
+        lda.chol,
+        lda.whiten,
+        lda.log_priors,
+        np.asarray(model.prepared_means),
+        *getattr(model.prepared_means, "state", ()),
+        *predict_new(model, X),
+    ]
 
 
 def _scores(entropies):
@@ -151,16 +171,20 @@ class TestFit:
         assert m1.kernel.name == m2.kernel.name
 
     def test_threads_do_not_change_the_model(self):
-        ds = generate(SimSetting("uniform-hd", n=80, p=12, num_classes=3, seed=5))
-        m1 = fit(ds, threads=1)
-        p1, _ = predict_new(m1, ds.features)
-        for threads in (2, 3):
-            m = fit(ds, threads=threads)
-            assert np.array_equal(m1.cross_entropies, m.cross_entropies)
-            assert m1.kernel.name == m.kernel.name
-            assert m1.kernel_ids == m.kernel_ids
-            labels, _ = predict_new(m, ds.features)
-            assert np.array_equal(p1, labels)
+        for ds in (
+            generate(SimSetting("uniform-hd", n=80, p=12, num_classes=3, seed=5)),
+            rescaled_pattern_dataset(n=120, p=20, seed=4),
+        ):
+            m1 = fit(ds, threads=1)
+            for threads in (2, 3):
+                m = fit(ds, threads=threads)
+                assert m1.kernel.name == m.kernel.name
+                assert m1.kernel_ids == m.kernel_ids
+                assert m1.lda.ridge == m.lda.ridge
+                for a, b in zip(
+                    _model_arrays(m1, ds.features), _model_arrays(m, ds.features)
+                ):
+                    assert a.tobytes() == b.tobytes()
 
     def test_candidate_order_does_not_change_entropies(self):
         def bump(x, u):
@@ -243,6 +267,37 @@ class TestPredictNew:
     def test_unfitted_model(self):
         with pytest.raises(NotFitted):
             predict_new(None, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("kernels", [("linear",), ("linear", "spearman")])
+    def test_row_slices_equal_rows_of_the_full_batch(self, kernels):
+        ds = rescaled_pattern_dataset(n=200, p=30, k=4, seed=12)
+        model = fit(ds, kernels=kernels)
+        assert model.kernel.name == kernels[-1]
+        rng = np.random.default_rng(13)
+        X = rescaled_pattern_dataset(n=150, p=30, k=4, seed=14).features
+        labels, post = predict_new(model, X)
+        for _ in range(60):
+            lo = int(rng.integers(0, X.shape[0]))
+            hi = lo + int(rng.choice([1, 2, 3, 8, 17, 64]))
+            part_labels, part_post = predict_new(model, X[lo:hi])
+            assert np.array_equal(part_labels, labels[lo:hi])
+            assert part_post.tobytes() == post[lo:hi].tobytes()
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
+    def test_prepared_means_embed_like_the_raw_means(self, name):
+        rng = np.random.default_rng(15)
+        ds = random_dataset(rng, 90, 12, 4)
+        model = fit(ds)
+        kernel = BUILTIN_KERNELS[name]
+        prepared = _prepare(model.class_means, kernel)
+        X = rng.normal(size=(33, 12))
+        raw = kernel_cross(X, model.class_means, kernel)
+        assert kernel_cross(X, prepared, kernel).tobytes() == raw.tobytes()
+        assert embed(X, prepared, kernel).tobytes() == raw.tobytes()
+        for other in BUILTIN_KERNELS.values():
+            assert kernel_cross(X, prepared, other).tobytes() == (
+                kernel_cross(X, model.class_means, other).tobytes()
+            )
 
 
 def test_linear_only_pipeline_reaches_zero_error_at_scale():
