@@ -18,12 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrainingSet, MissingClass, NonFiniteFeature
+from .errors import (
+    DimensionMismatch,
+    EmptyTrainingSet,
+    InvalidParams,
+    MissingClass,
+    NonFiniteFeature,
+)
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """An (n, p) feature matrix paired with labels in {0, ..., K}."""
+    """An (n, p) feature matrix paired with labels in {0, ..., K}.
+
+    Construction raises ``DimensionMismatch`` for malformed shapes and
+    ``InvalidParams`` for non-integer or out-of-range labels and a
+    non-positive ``num_classes``.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -32,20 +43,20 @@ class Dataset:
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
-            raise ValueError("features must be a 2-D matrix")
+            raise DimensionMismatch("features must be a 2-D matrix")
         labels = np.asarray(self.labels)
         if labels.ndim != 1 or labels.shape[0] != feats.shape[0]:
-            raise ValueError(
+            raise DimensionMismatch(
                 "labels must be a vector with one entry per feature row"
             )
         if labels.size and not np.all(labels == labels.astype(np.int64)):
-            raise ValueError("labels must be integers")
+            raise InvalidParams("labels must be integers")
         labels = labels.astype(np.int64)
         k = int(self.num_classes)
         if k < 1:
-            raise ValueError("num_classes must be a positive integer")
+            raise InvalidParams("num_classes must be a positive integer")
         if labels.size and (labels.min() < 0 or labels.max() > k):
-            raise ValueError(f"labels must lie in [0, {k}]")
+            raise InvalidParams(f"labels must lie in [0, {k}]")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "num_classes", k)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ClassStats, class_counts
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidParams
 from .kernels import kernel_cross
 
 
@@ -53,7 +53,7 @@ def build_weights(labels, stats: ClassStats) -> EncoderWeights:
     """Build encoder weights from labels and their validated class stats."""
     labels = np.asarray(labels, dtype=np.int64)
     if not np.array_equal(class_counts(labels, stats.num_classes), stats.counts):
-        raise ValueError("class stats are inconsistent with the label vector")
+        raise InvalidParams("class stats are inconsistent with the label vector")
     return EncoderWeights(labels=labels, counts=stats.counts.copy())
 
 

@@ -4,7 +4,8 @@ Within a replicate every method sees the same fold split. Test-fold
 labels are masked to 0 before the pipeline ever sees them; the held-out
 fold is then scored against the true labels. Errors aggregate over fold
 records (macro over folds, then replicates); timing wraps fit + predict
-only, on a monotonic clock.
+only, on a monotonic clock, plus each fold's share of preparing the
+replicate's features.
 
 For a simulation setting, each replicate redraws the dataset; for a fixed
 dataset, replicates only re-split.
@@ -13,17 +14,18 @@ dataset, replicates only re-split.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, validate
 from .errors import InvalidParams, InsufficientGrid, TooFewSamples
-from .kernels import BASELINE_KERNEL, DEFAULT_KERNELS
+from .kernels import BASELINE_KERNEL, DEFAULT_KERNELS, _prepare, resolve_kernel
 from .lda import fit_lda, predict
 from .parallel import map_ordered
 from .reference import embed_reference
-from .selection import DEFAULT_SWITCH_THRESHOLD, fit, predict_new
+from .selection import DEFAULT_SWITCH_THRESHOLD, _candidates, fit
 from .simgen import SimSetting, generate
 
 METHOD_FAST_MULTI = "fast-multi"
@@ -98,8 +100,13 @@ def _std(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1)) if values.size > 1 else 0.0
 
 
-def _run_fold(method, masked, test_idx, truth, kernels, threshold, threads):
-    """Fit on the masked dataset, predict the held-out rows, and time it."""
+def _run_fold(method, masked, test_idx, truth, use, threshold, threads, prepared):
+    """Fit on the masked dataset, predict the held-out rows, and time it.
+
+    The fit already embedded the held-out rows, so they are predicted from
+    the chosen branch's embedding; rows are independent, so this gives
+    the labels ``predict_new`` would.
+    """
     assert np.all(masked.labels[test_idx] == 0), "test labels leaked into fit"
     start = time.perf_counter()
     if method == METHOD_REFERENCE:
@@ -108,9 +115,9 @@ def _run_fold(method, masked, test_idx, truth, kernels, threshold, threads):
         model = fit_lda(z[trn], masked.labels[trn], masked.num_classes)
         predicted = predict(model, z[test_idx])
     else:
-        use = (BASELINE_KERNEL,) if method == METHOD_FAST_LINEAR else kernels
-        model = fit(masked, use, threshold, threads=threads)
-        predicted, _ = predict_new(model, masked.features[test_idx])
+        model = fit(masked, use, threshold, threads=threads, _prepared=prepared)
+        chosen = next(s for s in model.scores if s.model is model.lda)
+        predicted = predict(model.lda, chosen.embedding[test_idx])
     seconds = time.perf_counter() - start
     error = float(np.mean(predicted != truth[test_idx]))
     return error, seconds
@@ -121,7 +128,37 @@ def _replicate_seeds(seed, replicate: int) -> tuple:
     return int(state[0]), int(state[1])
 
 
-def _run_replicate(data, config: EvalConfig, kernels, replicate: int) -> list:
+def _method_kernels(methods, kernels) -> dict:
+    """The resolved candidate kernels of each configured fast method."""
+    use = {}
+    for method in methods:
+        if method == METHOD_FAST_LINEAR:
+            use[method] = (resolve_kernel(BASELINE_KERNEL),)
+        elif method == METHOD_FAST_MULTI:
+            use[method] = _candidates(kernels)
+    return use
+
+
+def _prepare_features(features, use: dict, folds: int) -> tuple:
+    """Features prepared once per kernel, and each method's per-fold charge.
+
+    Preparing for a kernel is charged in equal shares to the folds of the
+    methods that use it, so a replicate's records still add up to all the
+    work it did.
+    """
+    users = Counter(k for kernels in use.values() for k in set(kernels))
+    prepared, charge = {}, dict.fromkeys(use, 0.0)
+    for k, count in users.items():
+        start = time.perf_counter()
+        prepared[k] = _prepare(features, k)
+        share = (time.perf_counter() - start) / (folds * count)
+        for method, kernels in use.items():
+            if k in kernels:
+                charge[method] += share
+    return prepared, charge
+
+
+def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
     data_seed, fold_seed = _replicate_seeds(config.seed, replicate)
     if isinstance(data, SimSetting):
         dataset = generate(data.with_seed(data_seed))
@@ -129,6 +166,7 @@ def _run_replicate(data, config: EvalConfig, kernels, replicate: int) -> list:
         dataset = data
     validate(dataset)
     folds = kfold_split(dataset.n, config.folds, fold_seed)
+    prepared, charge = _prepare_features(dataset.features, use, config.folds)
     records = []
     for fold_idx, test_idx in enumerate(folds):
         masked_labels = dataset.labels.copy()
@@ -140,10 +178,12 @@ def _run_replicate(data, config: EvalConfig, kernels, replicate: int) -> list:
                 masked,
                 test_idx,
                 dataset.labels,
-                kernels,
+                use.get(method),
                 config.switch_threshold,
                 config.threads,
+                prepared,
             )
+            seconds += charge.get(method, 0.0)
             records.append(
                 FoldRecord(method, replicate, fold_idx, error, seconds)
             )
@@ -156,10 +196,19 @@ def cross_validate(data, config: EvalConfig, kernels=DEFAULT_KERNELS) -> EvalRep
     ``data`` is either a fixed Dataset (re-split per replicate) or a
     SimSetting (redrawn per replicate). Replicates are independent and
     run on ``config.threads`` workers; the collect is ordered, so the
-    report never depends on the schedule.
+    report never depends on the schedule. A fit inside a replicate runs
+    its kernel branches inline on the replicate's thread (one fan-out
+    level).
+
+    A replicate's folds share its features, so each kernel's per-row
+    state of them (ranks, row norms) is computed once per replicate and
+    reused by every fold's fit; its time is charged in equal shares to
+    the folds of the methods that use it. Held-out rows are predicted
+    from the embedding the fit already computed for them.
     """
+    use = _method_kernels(config.methods, kernels)
     per_replicate = map_ordered(
-        lambda r: _run_replicate(data, config, kernels, r),
+        lambda r: _run_replicate(data, config, use, r),
         range(config.replicates),
         threads=config.threads,
     )

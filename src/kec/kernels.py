@@ -8,22 +8,30 @@ Three built-in kernels are provided:
   k(x, u) = (||x|| + ||u|| - ||x - u||) / 2.
 - ``spearman``: Pearson correlation of average-rank vectors (ties get
   average ranks; a constant rank vector yields 0 rather than NaN). Ranks
-  come from one unstable argsort per row with each run of tied values
-  given the mean of its positions, O(p log p) per row; the order of tied
+  come from one unstable argsort per row, O(p log p); the order of tied
   values inside a run cannot change their average, so no stable sort is
-  needed.
+  needed, and only rows that have ties pay for averaging their runs.
 
-The scalar functions and the matrix evaluator ``kernel_cross`` are built
-from the same elementwise operations and trailing-axis reductions, so
-``kernel_cross(X, U, k)[i, j]`` reproduces the scalar value bitwise. For
-that reason the cross path deliberately avoids BLAS matrix products,
-whose accumulation order differs from a plain row reduction; the cost is
-still O(nKp). ``kernel_gram`` has no bitwise contract and uses BLAS for
-the inner product.
+Each scalar kernel is ``kernel_cross`` on a one-row X and a one-row U, so
+``kernel_cross(X, U, k)[i, j]`` equals the scalar value bitwise by
+construction. The cross step is a plain elementwise product or
+difference and a trailing-axis row reduction; it deliberately avoids
+BLAS matrix products, whose accumulation order depends on the shape of
+the call, so a row's value never depends on which other rows share its
+call. The cost is still O(nKp).
+
+A cross step needs per-row state besides the rows themselves: row norms
+for distance, centered ranks and their sums of squares for spearman.
+``_prepare`` computes it once for an operand that is used many times (a
+model's class means, a cross-validation replicate's features), and
+``kernel_cross`` accepts the prepared operand on either side.
+``kernel_gram`` has no bitwise contract and uses BLAS for the inner
+product.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -57,70 +65,24 @@ def _as_pair(x, u) -> tuple[np.ndarray, np.ndarray]:
     return x, u
 
 
-def _sq_norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm along the trailing axis via an explicit square-sum."""
-    return np.sqrt(np.sum(v * v, axis=-1))
+def _through_cross(x, u, kernel) -> float:
+    x, u = _as_pair(x, u)
+    return float(kernel_cross(x[None], u[None], kernel)[0, 0])
 
 
 def inner_product(x, u) -> float:
     """Inner product sum_s x_s * u_s."""
-    x, u = _as_pair(x, u)
-    return float(np.sum(x * u, axis=-1))
+    return _through_cross(x, u, INNER_PRODUCT)
 
 
 def distance_induced(x, u) -> float:
     """Origin-centered distance-to-kernel transform of the Euclidean metric."""
-    x, u = _as_pair(x, u)
-    return float((_sq_norm(x) + _sq_norm(u) - _sq_norm(x - u)) / 2.0)
-
-
-def _average_ranks(a: np.ndarray) -> np.ndarray:
-    """1-based average ranks along the trailing axis; NaN rows give NaN.
-
-    Ranks are half-integers, exact in float64, so the result equals
-    ``scipy.stats.rankdata(a, method="average", axis=-1)`` bitwise.
-    """
-    order = np.argsort(a, axis=-1)
-    s = np.take_along_axis(a, order, axis=-1)
-    p = a.shape[-1]
-    sorted_ranks = np.broadcast_to(np.arange(1.0, p + 1.0), s.shape).copy()
-    tied = s[..., 1:] == s[..., :-1]
-    if tied.any():
-        # Each run of equal sorted values takes the mean of its first and
-        # last position. Runs never cross rows: every row opens a run.
-        rows = sorted_ranks.reshape(-1, p)
-        opens = np.ones(rows.shape, dtype=bool)
-        np.logical_not(tied.reshape(-1, p - 1), out=opens[:, 1:])
-        starts = np.flatnonzero(opens)
-        lengths = np.diff(starts, append=opens.size)
-        means = rows.ravel()[starts] + (lengths - 1) * 0.5
-        rows[...] = np.repeat(means, lengths).reshape(rows.shape)
-    ranks = np.empty(a.shape)
-    np.put_along_axis(ranks, order, sorted_ranks, axis=-1)
-    # argsort puts NaN last, so a row holds a NaN iff its last sorted value is one.
-    ranks[np.isnan(s[..., -1])] = np.nan
-    return ranks
-
-
-def _centered_ranks(a: np.ndarray) -> np.ndarray:
-    """Average ranks along the trailing axis, centered per vector."""
-    r = _average_ranks(a)
-    return r - np.mean(r, axis=-1, keepdims=True)
+    return _through_cross(x, u, DISTANCE_INDUCED)
 
 
 def spearman(x, u) -> float:
     """Spearman rank correlation; 0 when either rank vector is constant."""
-    x, u = _as_pair(x, u)
-    if x.shape[0] < 2:
-        raise DegenerateLength("spearman needs vectors of length >= 2")
-    cx = _centered_ranks(x)
-    cu = _centered_ranks(u)
-    ssx = np.sum(cx * cx, axis=-1)
-    ssu = np.sum(cu * cu, axis=-1)
-    den = np.sqrt(ssx * ssu)
-    if den == 0.0:
-        return 0.0
-    return float(np.sum(cx * cu, axis=-1) / den)
+    return _through_cross(x, u, SPEARMAN_RANK)
 
 
 # ---------------------------------------------------------------------------
@@ -161,29 +123,89 @@ def _product_reduce(X: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-# Per-row state of the representatives U that a cross step needs besides
-# U itself. ``_prepare`` computes it once for a fitted model, so serving
-# does not redo it per request; the values are the ones the cross step
-# would compute itself, so prepared and raw U give bitwise-equal results.
+# Per-row state of an operand that a cross step needs besides its rows:
+# row norms for distance, centered ranks and their sums of squares for
+# spearman. ``_prepare`` computes it once, so a fitted model's class means
+# and a cross-validation replicate's features are not re-ranked per call;
+# the values are the ones the cross step would compute itself, so prepared
+# and raw operands give bitwise-equal results.
 
-def _distance_state(U: np.ndarray) -> tuple:
-    return (_sq_norm(U),)
+def _sq_norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the trailing axis via an explicit square-sum."""
+    return np.sqrt(np.sum(v * v, axis=-1))
 
 
-def _spearman_state(U: np.ndarray) -> tuple:
-    cu = _centered_ranks(U)
-    return cu, np.sum(cu * cu, axis=-1)
+def _distance_state(A: np.ndarray) -> tuple:
+    return (_sq_norm(A),)
+
+
+# Centered average ranks are multiples of 1/2, so their squares are
+# multiples of 1/4. Up to this row length every partial sum of those
+# squares (at most p^3/12 < 2^51) is exact in float64, in any order.
+_EXACT_SS_LENGTH = 1 << 18
+
+
+def _rank_state(a) -> tuple:
+    """Centered average ranks along the trailing axis and their sums of squares.
+
+    Ranks plus (p+1)/2 equal ``scipy.stats.rankdata(a, method="average",
+    axis=-1)`` bitwise: average ranks are half-integers and a row of them
+    sums to p(p+1)/2, so its mean is exactly (p+1)/2 and a tie-free row's
+    centered ranks are a permutation of ``arange(p) - (p-1)/2``. The sums
+    equal ``np.sum(c * c, axis=-1)`` bitwise; they are exact, so every
+    tie-free row shares one constant and only rows with ties are summed.
+    Rows holding a NaN give NaN in both.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    p = a.shape[-1]
+    flat = a.reshape(math.prod(a.shape[:-1]), p)
+    # Flat indices of each row's values in ascending order: one gather
+    # reads the sorted values, one scatter writes the ranks.
+    order = np.argsort(flat, axis=-1)
+    order += np.arange(flat.shape[0])[:, None] * p
+    s = np.take(flat, order)
+    sorted_c = np.arange(p) - (p - 1) / 2.0
+    c = np.empty(flat.shape)
+    c.reshape(-1)[order] = sorted_c
+    ss = np.full(flat.shape[0], np.sum(sorted_c * sorted_c))
+    # argsort puts NaN last, so a row holds a NaN iff its last sorted value is one.
+    nan_rows = np.isnan(s[:, -1:]).any(axis=-1)
+    tie_rows = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=-1) & ~nan_rows)
+    if tie_rows.size:
+        c.reshape(-1)[order[tie_rows]] = _tied_sorted_ranks(s[tie_rows], sorted_c)
+        ss[tie_rows] = np.sum(c[tie_rows] ** 2, axis=-1)
+    if p > _EXACT_SS_LENGTH:
+        ss = np.sum(c * c, axis=-1)
+    c[nan_rows] = np.nan
+    ss[nan_rows] = np.nan
+    return c.reshape(a.shape), ss.reshape(a.shape[:-1])
+
+
+def _tied_sorted_ranks(s, sorted_c) -> np.ndarray:
+    """Centered ranks, in sorted order, of rows whose sorted values ``s`` tie.
+
+    Each run of equal sorted values takes the mean of its first and last
+    position. Runs never cross rows: every row opens a run.
+    """
+    m, p = s.shape
+    opens = np.ones((m, p), dtype=bool)
+    np.not_equal(s[:, 1:], s[:, :-1], out=opens[:, 1:])
+    starts = np.flatnonzero(opens)
+    lengths = np.diff(starts, append=opens.size)
+    means = sorted_c[starts % p] + (lengths - 1) * 0.5
+    return np.repeat(means, lengths).reshape(m, p)
 
 
 @dataclass(frozen=True)
 class _Prepared:
-    """Representative rows plus their precomputed state for one kernel.
+    """An operand's rows plus their precomputed state for one kernel.
 
-    Accepted by ``kernel_cross`` in place of U; reports U's shape and
-    converts to U as an array, so shape checks and hashing see U.
+    Accepted by ``kernel_cross`` in place of X or U; reports the rows'
+    shape and converts to them as an array, so shape checks and hashing
+    see the plain matrix.
     """
 
-    rows: np.ndarray  # (K, p) float64, C-contiguous
+    rows: np.ndarray  # (n, p) float64, C-contiguous
     state_fn: Callable
     state: tuple
 
@@ -199,21 +221,23 @@ class _Prepared:
         return np.array(self.rows, dtype=dtype, copy=copy)
 
 
-def _state(U, state_fn: Callable) -> tuple:
-    return U.state if isinstance(U, _Prepared) else state_fn(U)
+def _state(A, state_fn: Callable) -> tuple:
+    return A.state if isinstance(A, _Prepared) else state_fn(A)
+
+
+def _rows(A) -> np.ndarray:
+    return A.rows if isinstance(A, _Prepared) else A
 
 
 def _cross_inner(X: np.ndarray, U: np.ndarray) -> np.ndarray:
     return _product_reduce(X, U, np.empty((X.shape[0], U.shape[0])))
 
 
-def _cross_distance(X: np.ndarray, U) -> np.ndarray:
-    (nu,) = _state(U, _distance_state)
-    if isinstance(U, _Prepared):
-        U = U.rows
+def _cross_distance(X, U) -> np.ndarray:
+    (nx,), (nu,) = _state(X, _distance_state), _state(U, _distance_state)
+    X, U = _rows(X), _rows(U)
     n, p = X.shape
     k = U.shape[0]
-    nx = _sq_norm(X)
     out = np.empty((n, k))
     step = _row_step(n, k, p)
     buf = _scratch_buffer((step, k, p))
@@ -226,12 +250,12 @@ def _cross_distance(X: np.ndarray, U) -> np.ndarray:
     return (nx[:, None] + nu[None, :] - out) / 2.0
 
 
-def _cross_spearman(X: np.ndarray, U) -> np.ndarray:
+def _cross_spearman(X, U) -> np.ndarray:
     if X.shape[1] < 2:
         raise DegenerateLength("spearman needs vectors of length >= 2")
-    cu, ssu = _state(U, _spearman_state)
-    cx, ssx = _spearman_state(X)
-    num = _product_reduce(cx, cu, np.empty((X.shape[0], cu.shape[0])))
+    cx, ssx = _state(X, _rank_state)
+    cu, ssu = _state(U, _rank_state)
+    num = _product_reduce(cx, cu, np.empty((cx.shape[0], cu.shape[0])))
     den = np.sqrt(ssx[:, None] * ssu[None, :])
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
@@ -266,7 +290,7 @@ DEFAULT_KERNELS = ("linear", "distance", "spearman")
 # Name of the baseline kernel required by the switching rule.
 BASELINE_KERNEL = "linear"
 
-_STATE_FNS = {DISTANCE_INDUCED: _distance_state, SPEARMAN_RANK: _spearman_state}
+_STATE_FNS = {DISTANCE_INDUCED: _distance_state, SPEARMAN_RANK: _rank_state}
 
 
 def _loop_pairwise(scalar: Callable) -> Callable:
@@ -307,10 +331,12 @@ def resolve_kernel(kind) -> Kernel:
 # Matrix evaluation
 # ---------------------------------------------------------------------------
 
+def _as_matrix(A):
+    return A if isinstance(A, _Prepared) else np.ascontiguousarray(A, dtype=np.float64)
+
+
 def _as_matrix_pair(X, U) -> tuple:
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if not isinstance(U, _Prepared):
-        U = np.ascontiguousarray(U, dtype=np.float64)
+    X, U = _as_matrix(X), _as_matrix(U)
     if X.ndim != 2 or U.ndim != 2:
         raise DimensionMismatch("kernel matrices must be 2-D")
     if X.shape[1] != U.shape[1]:
@@ -320,30 +346,34 @@ def _as_matrix_pair(X, U) -> tuple:
     return X, U
 
 
-def _prepare(U, kernel):
-    """U with the per-row state ``kernel``'s cross step reuses, for serving.
+def _prepare(A, kernel):
+    """A with the per-row state ``kernel``'s cross step reuses.
 
-    The result stands in for U in ``kernel_cross`` and gives bitwise the
-    same embedding. Kernels with no such state (linear, custom) get the
+    The result stands in for X or U in ``kernel_cross`` and gives bitwise
+    the same matrix. Kernels with no such state (linear, custom) get the
     plain float64 matrix back.
     """
-    U = np.ascontiguousarray(U, dtype=np.float64)
+    A = np.ascontiguousarray(A, dtype=np.float64)
     state_fn = _STATE_FNS.get(resolve_kernel(kernel))
     if state_fn is None:
-        return U
-    return _Prepared(U, state_fn, state_fn(U))
+        return A
+    return _Prepared(A, state_fn, state_fn(A))
 
 
 def kernel_cross(X, U, kernel) -> np.ndarray:
     """Evaluate kernel(X(i,:), U(j,:)) for all i, j; an (n, K) matrix.
 
-    Entries agree bitwise with the scalar kernel for all built-ins. U may
-    also be a prepared operand from ``_prepare`` for the same kernel.
+    Entries agree bitwise with the scalar kernel for all built-ins. X and
+    U may also be operands from ``_prepare``; one prepared for another
+    kernel is used as its plain rows.
     """
     X, U = _as_matrix_pair(X, U)
     k = resolve_kernel(kernel)
-    if isinstance(U, _Prepared) and U.state_fn is not _STATE_FNS.get(k):
-        U = U.rows
+    state_fn = _STATE_FNS.get(k)
+    X, U = (
+        A.rows if isinstance(A, _Prepared) and A.state_fn is not state_fn else A
+        for A in (X, U)
+    )
     return k.pairwise(X, U)
 
 

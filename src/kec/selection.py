@@ -149,11 +149,20 @@ def _score_kernel(kernel: Kernel, X, U, labels, trn, V, num_classes) -> KernelSc
     )
 
 
+def _candidates(kernels) -> tuple:
+    """Resolved candidate kernels; a single name or callable is one candidate."""
+    if isinstance(kernels, str) or callable(kernels):
+        kernels = (kernels,)
+    return tuple(resolve_kernel(k) for k in kernels)
+
+
 def fit(
     dataset: Dataset,
     kernels=DEFAULT_KERNELS,
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
     threads: int = 1,
+    *,
+    _prepared=None,
 ) -> EncoderModel:
     """Run the full multi-kernel pipeline and return the trained model.
 
@@ -164,10 +173,13 @@ def fit(
     kernels, spearman, distance, linear) and collected back in candidate
     order, so the result does not depend on the schedule. The candidate
     set must contain the inner product, which anchors the switching rule.
+
+    ``_prepared`` is private to ``cross_validate``: a mapping from
+    candidate Kernel to ``kernels._prepare(dataset.features, kernel)``,
+    so the folds of one replicate share one preparation of their common
+    features. An entry prepared from another array is ignored.
     """
-    if isinstance(kernels, str) or callable(kernels):
-        kernels = (kernels,)
-    candidates = [resolve_kernel(k) for k in kernels]
+    candidates = _candidates(kernels)
     if not candidates:
         raise NoBaselineKernel("kernel list is empty")
     try:
@@ -183,6 +195,11 @@ def fit(
     weights = build_weights(dataset.labels, stats)
     class_means = build_U(dataset.features, weights)
     one_hot = weights.one_hot()
+
+    def features(kernel):
+        X = (_prepared or {}).get(kernel)
+        return X if getattr(X, "rows", X) is dataset.features else dataset.features
+
     dispatch = sorted(
         range(len(candidates)),
         key=lambda m: _BRANCH_COST_RANK.get(candidates[m], 0),
@@ -190,7 +207,7 @@ def fit(
     dispatched = map_ordered(
         lambda m: _score_kernel(
             candidates[m],
-            dataset.features,
+            features(candidates[m]),
             class_means,
             dataset.labels,
             stats.trn,

@@ -1,0 +1,12 @@
+"""Test-suite configuration.
+
+``HYPOTHESIS_PROFILE=ci`` loads a derandomized hypothesis profile, so a
+CI run draws the same examples every time.
+"""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from kec import Dataset, validate
-from kec.errors import EmptyTrainingSet, MissingClass, NonFiniteFeature
+from kec.errors import (
+    DimensionMismatch,
+    EmptyTrainingSet,
+    InvalidParams,
+    MissingClass,
+    NonFiniteFeature,
+)
 
 
 def test_counts_and_train_indices():
@@ -36,8 +42,17 @@ def test_non_finite_features_rejected():
 
 @pytest.mark.parametrize("bad_labels", [[1, 3, 0], [-1, 1, 2], [1.5, 1, 2]])
 def test_label_range_enforced_at_construction(bad_labels):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParams):
         Dataset(np.zeros((3, 2)), bad_labels, 2)
+
+
+def test_shape_and_class_count_errors_are_kec_errors():
+    with pytest.raises(DimensionMismatch):
+        Dataset(np.zeros(3), [1, 2, 0], 2)
+    with pytest.raises(DimensionMismatch):
+        Dataset(np.zeros((3, 2)), [1, 2], 2)
+    with pytest.raises(InvalidParams):
+        Dataset(np.zeros((3, 2)), [1, 1, 0], 0)
 
 
 def test_counts_plus_unknown_cover_all_rows():

@@ -3,7 +3,7 @@ import pytest
 
 from kec import Dataset, validate
 from kec.encoder import EncoderWeights, build_U, build_weights, embed
-from kec.errors import DimensionMismatch
+from kec.errors import DimensionMismatch, InvalidParams
 from kec.reference import embed_reference
 from kec.simgen import SimSetting, analytic_means, generate
 
@@ -38,7 +38,7 @@ class TestBuildWeights:
 
     def test_inconsistent_stats_rejected(self):
         stats = _stats([1, 1, 2], 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParams):
             build_weights(np.array([1, 2, 2]), stats)
 
 

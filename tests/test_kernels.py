@@ -7,7 +7,7 @@ from scipy.stats import rankdata
 from kec.errors import DegenerateLength, DimensionMismatch, UnknownKernel
 from kec.kernels import (
     BUILTIN_KERNELS,
-    _average_ranks,
+    _rank_state,
     distance_induced,
     inner_product,
     kernel_cross,
@@ -83,6 +83,10 @@ class TestSpearman:
             assert spearman(x, transform(u)) == spearman(x, u)
 
 
+def _average_ranks(a):
+    return _rank_state(a)[0] + (a.shape[-1] + 1) / 2
+
+
 class TestAverageRanks:
     """The argsort-based ranks reproduce scipy's average ranks bitwise."""
 
@@ -126,6 +130,15 @@ class TestAverageRanks:
         self._check(a, equal_nan=True)
         got = _average_ranks(a)
         assert np.isnan(got[[0, 2]]).all() and not np.isnan(got[1]).any()
+
+    def test_sums_of_squares_past_the_exact_length(self):
+        # Beyond _EXACT_SS_LENGTH the shared constant is no longer exact
+        # by construction, so every row is summed.
+        import kec.kernels as kmod
+
+        a = np.random.default_rng(23).normal(size=(2, kmod._EXACT_SS_LENGTH + 1))
+        c, ss = _rank_state(a)
+        assert ss.tobytes() == np.sum(c * c, axis=-1).tobytes()
 
     def test_vector_and_narrow_shapes(self):
         rng = np.random.default_rng(22)

@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from kec.parallel import ENV_THREADS, map_ordered, resolve_threads
@@ -27,3 +29,32 @@ def test_floor_at_one():
 def test_map_ordered_preserves_order(threads):
     result = map_ordered(lambda v: v * v, range(20), threads=threads)
     assert result == [v * v for v in range(20)]
+
+
+def test_nested_call_runs_inline_on_its_worker():
+    def outer(v):
+        inner = map_ordered(
+            lambda w: (threading.get_ident(), w), range(5 * v, 5 * v + 5), threads=4
+        )
+        return threading.get_ident(), inner
+
+    results = map_ordered(outer, range(4), threads=2)
+    for v, (worker, inner) in enumerate(results):
+        assert worker != threading.get_ident()
+        assert [ident for ident, _ in inner] == [worker] * 5
+        assert [w for _, w in inner] == list(range(5 * v, 5 * v + 5))
+
+
+def test_top_level_call_fans_out():
+    # Each of the first two items waits for the other, so they can only
+    # finish if two threads run them at once.
+    barrier = threading.Barrier(2, timeout=10)
+
+    def item(v):
+        if v < 2:
+            barrier.wait()
+        return threading.get_ident()
+
+    idents = map_ordered(item, range(6), threads=2)
+    assert len(set(idents[:2])) == 2
+
