@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.stats import multivariate_normal, norm
 
 import kec.lda
@@ -92,6 +92,15 @@ class TestDerivedState:
         assert np.allclose(model.chol @ model.chol.T, cov, rtol=1e-12, atol=0)
         assert np.allclose(model.whiten @ model.chol, np.eye(d), atol=1e-12)
         assert np.array_equal(model.log_priors, np.log(model.priors))
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 30])
+    def test_lower_inverse_matches_triangular_solve(self, d):
+        rng = np.random.default_rng(d)
+        chol = np.tril(rng.normal(size=(d, d))) + 4.0 * np.eye(d)
+        inv = kec.lda._lower_inverse(chol)
+        ref = solve_triangular(chol, np.eye(d), lower=True)
+        assert np.array_equal(inv, np.tril(inv))
+        assert np.allclose(inv, ref, rtol=1e-13, atol=1e-15)
 
     def test_scores_match_cho_solve_reference(self):
         model, rng = self._model()
