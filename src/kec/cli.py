@@ -22,7 +22,7 @@ from .evaluation import (
     bench_scaling,
     cross_validate,
 )
-from .io import load_model, read_csv, save_model, write_csv
+from .io import _write_table, load_model, read_csv, save_model, write_csv
 from .kernels import DEFAULT_KERNELS
 from .lda import predict
 from .parallel import resolve_threads
@@ -155,14 +155,11 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     dataset = read_csv(args.data, num_classes=model.num_classes)
     labels, post = predict_new(model, dataset.features)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            ",".join(["label"] + [f"p{j + 1}" for j in range(model.num_classes)])
-        )
-        fh.write("\n")
-        for lab, row in zip(labels, post):
-            fh.write(f"{int(lab)}," + ",".join(f"{v:.17g}" for v in row))
-            fh.write("\n")
+    _write_table(
+        args.out,
+        ["label"] + [f"p{j + 1}" for j in range(model.num_classes)],
+        np.column_stack([labels, post]),
+    )
     print(f"wrote {labels.shape[0]} predictions to {args.out}", file=sys.stderr)
     return EXIT_OK
 

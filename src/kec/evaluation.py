@@ -4,8 +4,8 @@ Within a replicate every method sees the same fold split. Test-fold
 labels are masked to 0 before the pipeline ever sees them; the held-out
 fold is then scored against the true labels. Errors aggregate over fold
 records (macro over folds, then replicates); timing wraps fit + predict
-only, on a monotonic clock, plus each fold's share of preparing the
-replicate's features.
+only, on a monotonic clock; fast-multi's folds also carry equal shares of
+preparing the replicate's features.
 
 For a simulation setting, each replicate redraws the dataset; for a fixed
 dataset, replicates only re-split.
@@ -14,7 +14,6 @@ dataset, replicates only re-split.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,25 +138,6 @@ def _method_kernels(methods, kernels) -> dict:
     return use
 
 
-def _prepare_features(features, use: dict, folds: int) -> tuple:
-    """Features prepared once per kernel, and each method's per-fold charge.
-
-    Preparing for a kernel is charged in equal shares to the folds of the
-    methods that use it, so a replicate's records still add up to all the
-    work it did.
-    """
-    users = Counter(k for kernels in use.values() for k in set(kernels))
-    prepared, charge = {}, dict.fromkeys(use, 0.0)
-    for k, count in users.items():
-        start = time.perf_counter()
-        prepared[k] = _prepare(features, k)
-        share = (time.perf_counter() - start) / (folds * count)
-        for method, kernels in use.items():
-            if k in kernels:
-                charge[method] += share
-    return prepared, charge
-
-
 def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
     data_seed, fold_seed = _replicate_seeds(config.seed, replicate)
     if isinstance(data, SimSetting):
@@ -166,7 +146,11 @@ def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
         dataset = data
     validate(dataset)
     folds = kfold_split(dataset.n, config.folds, fold_seed)
-    prepared, charge = _prepare_features(dataset.features, use, config.folds)
+    start = time.perf_counter()
+    prepared = {
+        k: _prepare(dataset.features, k) for k in use.get(METHOD_FAST_MULTI, ())
+    }
+    charge = (time.perf_counter() - start) / config.folds
     records = []
     for fold_idx, test_idx in enumerate(folds):
         masked_labels = dataset.labels.copy()
@@ -183,7 +167,8 @@ def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
                 config.threads,
                 prepared,
             )
-            seconds += charge.get(method, 0.0)
+            if method == METHOD_FAST_MULTI:
+                seconds += charge
             records.append(
                 FoldRecord(method, replicate, fold_idx, error, seconds)
             )
@@ -200,11 +185,12 @@ def cross_validate(data, config: EvalConfig, kernels=DEFAULT_KERNELS) -> EvalRep
     its kernel branches inline on the replicate's thread (one fan-out
     level).
 
-    A replicate's folds share its features, so each kernel's per-row
-    state of them (ranks, row norms) is computed once per replicate and
-    reused by every fold's fit; its time is charged in equal shares to
-    the folds of the methods that use it. Held-out rows are predicted
-    from the embedding the fit already computed for them.
+    A replicate's folds share its features, so fast-multi's per-row state
+    of them (ranks, row norms) is computed once per replicate and reused
+    by every fold's fit; its time is charged in equal shares to
+    fast-multi's folds. fast-linear's kernel keeps no such state. Held-out
+    rows are predicted from the embedding the fit already computed for
+    them.
     """
     use = _method_kernels(config.methods, kernels)
     per_replicate = map_ordered(
@@ -279,6 +265,8 @@ def bench_scaling(
         raise InsufficientGrid("grid must be strictly ascending")
     if n_grid[-1] < 8 * n_grid[0]:
         raise InsufficientGrid("grid must span at least an 8x range")
+    if runs < 1:
+        raise InvalidParams("runs must be at least 1")
     unknown = [p for p in paths if p not in (PATH_FAST, PATH_REFERENCE)]
     if unknown:
         raise InvalidParams(f"unknown paths {unknown}")

@@ -2,7 +2,12 @@
 
 CSV: header ``f1,...,fp,label``; features as decimal literals at 17
 significant digits (lossless for float64), label an integer in
-{0, ..., K}, comma separated, UTF-8, no quoting.
+{0, ..., K}, comma separated, UTF-8, no quoting. numpy's text routines
+do the work and this module alone holds the number format: one
+``np.loadtxt`` call parses every row after the header (features with the
+conversion Python's ``float`` uses, labels strictly as int64; empty lines
+are skipped), and ``np.savetxt`` writes ``%.17g`` and ``%d``, so a write
+and read round trip gives back the same bits.
 
 Model artifact: a single self-describing JSON document with an explicit
 schema version; matrices are stored row-major as nested lists. JSON float
@@ -12,6 +17,7 @@ bitwise.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -29,14 +35,23 @@ SCHEMA = "kec-model/1"
 # CSV
 # ---------------------------------------------------------------------------
 
+def _write_table(path, names, table) -> None:
+    """Write ``table`` under the header ``names``, one row per line.
+
+    The column named ``label`` is written as an integer and every other
+    column at 17 significant digits, which reads back as the same float64.
+    """
+    fmt = ["%d" if name == "label" else "%.17g" for name in names]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=",".join(names),
+                   comments="")
+
+
 def write_csv(path, dataset: Dataset) -> None:
     """Write a dataset in the f1..fp,label format."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join([f"f{j + 1}" for j in range(dataset.p)] + ["label"]))
-        fh.write("\n")
-        for row, label in zip(dataset.features, dataset.labels):
-            fh.write(",".join(f"{v:.17g}" for v in row))
-            fh.write(f",{int(label)}\n")
+    names = [f"f{j + 1}" for j in range(dataset.p)] + ["label"]
+    table = np.column_stack([dataset.features, dataset.labels])
+    _write_table(path, names, table)
 
 
 def read_csv(path, num_classes=None) -> Dataset:
@@ -52,28 +67,28 @@ def read_csv(path, num_classes=None) -> Dataset:
                 f"{columns[-1]!r}"
             )
         p = len(columns) - 1
-        features, labels = [], []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != p + 1:
+        row = np.dtype([("f", np.float64, (p,)), ("label", np.int64)])
+        # loadtxt warns on input with no rows, so a header-only file is
+        # recognised before it is called.
+        first = next((line for line in fh if line.strip()), None)
+        table = np.empty(0, dtype=row)
+        if first is not None:
+            try:
+                table = np.loadtxt(itertools.chain([first], fh), dtype=row,
+                                   delimiter=",", comments=None, ndmin=1)
+            except ValueError as exc:
                 raise InvalidParams(
-                    f"{path}:{line_no}: expected {p + 1} fields, got "
-                    f"{len(parts)}"
-                )
-            features.append([float(v) for v in parts[:p]])
-            labels.append(int(parts[p]))
-    feats = np.array(features, dtype=np.float64).reshape(len(labels), p)
-    labs = np.array(labels, dtype=np.int64)
+                    f"{path}: expected {p + 1} fields per row, {p} numbers "
+                    f"and an integer label: {exc}"
+                ) from None
+    labs = table["label"]
     if num_classes is None:
         num_classes = int(labs.max()) if labs.size else 1
         if num_classes < 1:
             raise InvalidParams(
                 f"{path}: no positive labels; pass num_classes explicitly"
             )
-    return Dataset(features=feats, labels=labs, num_classes=num_classes)
+    return Dataset(features=table["f"], labels=labs, num_classes=num_classes)
 
 
 # ---------------------------------------------------------------------------

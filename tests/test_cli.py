@@ -101,6 +101,25 @@ class TestTrain:
         )
         assert res.returncode == 3
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0.5,0.5,99999999999999999999",  # label wider than int64
+            "0.5,0.5,1.5",
+            "0.5,abc,1",
+            "0.5,0.5,-1",
+        ],
+    )
+    def test_malformed_row_exits_2_with_one_line(self, tmp_path, row):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"f1,f2,label\n0.1,0.2,1\n0.3,0.4,2\n{row}\n")
+        model = tmp_path / "m.json"
+        res = run("train", "--data", str(data), "--model-out", str(model))
+        assert res.returncode == 2
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stderr.startswith("error: ")
+        assert not model.exists()
+
     def test_training_error_line_matches_predict_new(self, tmp_path):
         # a non-zero training error on a non-baseline kernel, labels hidden
         data = simulate(tmp_path, setting="uniform-hd", n=150, p=6, seed=2)
@@ -318,6 +337,11 @@ class TestBench:
         )
         assert res.returncode == 0, res.stderr
         assert "reference" not in res.stdout
+
+    def test_zero_runs_exits_2(self):
+        res = run("bench", "--n-grid", "40,80,160,320", "--p", "10", "--runs", "0")
+        assert res.returncode == 2
+        assert "runs must be at least 1" in res.stderr
 
     def test_non_ascending_grid_exits_2(self):
         res = run("bench", "--n-grid", "80,40,160,320", "--p", "10", "--runs", "1")

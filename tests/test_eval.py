@@ -171,6 +171,11 @@ class TestBenchScaling:
         with pytest.raises(InvalidParams):
             bench_scaling(setting, [40, 80, 160, 320], paths=("fast", "gpu"))
 
+    def test_runs_below_one_rejected(self):
+        setting = SimSetting("normal-hd", n=2, p=10, num_classes=3, seed=0)
+        with pytest.raises(InvalidParams, match="runs"):
+            bench_scaling(setting, [40, 80, 160, 320], runs=0)
+
     def test_single_path_selection(self):
         setting = SimSetting("normal-hd", n=2, p=10, num_classes=3, seed=0)
         report = bench_scaling(

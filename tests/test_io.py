@@ -45,6 +45,15 @@ class TestCsv:
         ds = read_csv(path, num_classes=2)
         assert ds.n == 0 and ds.p == 2
 
+    def test_blank_lines_and_crlf_read_the_same(self, tmp_path):
+        ds = generate(SimSetting("uniform-noise", n=30, p=4, num_classes=2, seed=1))
+        path = tmp_path / "data.csv"
+        write_csv(path, ds)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n\r\n"))
+        back = read_csv(path, num_classes=2)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -1,4 +1,4 @@
-"""Property-based invariants of ranking, the multi-kernel fit and CV."""
+"""Property-based invariants of ranking, the multi-kernel fit, CV and CSV."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from scipy.stats import rankdata
 import kec.evaluation as evaluation
 from kec import Dataset, fit, predict_new
 from kec.evaluation import EvalConfig, cross_validate, kfold_split
+from kec.io import read_csv, write_csv
 from kec.kernels import DEFAULT_KERNELS, _rank_state
 
 from helpers import random_dataset, rescaled_pattern_dataset
@@ -128,3 +129,25 @@ def test_permuting_rows_permutes_the_outputs(seed, rank_structured):
     moved_labels, moved_post = predict_new(model, ds.features[perm])
     assert moved_labels.tobytes() == labels[perm].tobytes()
     assert moved_post.tobytes() == post[perm].tobytes()
+
+
+# Signed zeros, subnormals and the largest magnitudes are the values a
+# decimal round trip is most likely to lose.
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 8), p=st.integers(1, 6), k=st.integers(1, 4))
+def test_csv_round_trip_is_exact(tmp_path_factory, data, n, p, k):
+    """write_csv then read_csv gives back the features and labels bitwise."""
+    features = data.draw(hnp.arrays(np.float64, (n, p), elements=_CSV_VALUES))
+    labels = data.draw(hnp.arrays(np.int64, (n,), elements=st.integers(0, k)))
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    write_csv(path, Dataset(features, labels, k))
+    back = read_csv(path, num_classes=k)
+    assert back.features.shape == (n, p)
+    assert back.features.tobytes() == features.tobytes()
+    assert back.labels.tobytes() == labels.tobytes()
