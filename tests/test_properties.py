@@ -1,7 +1,7 @@
-"""Property-based invariants of ranking, the multi-kernel fit, CV and CSV."""
+"""Property-based invariants of kernels, ranking, the multi-kernel fit, CV and CSV."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
@@ -10,7 +10,13 @@ import kec.evaluation as evaluation
 from kec import Dataset, fit, predict_new
 from kec.evaluation import EvalConfig, cross_validate, kfold_split
 from kec.io import read_csv, write_csv
-from kec.kernels import DEFAULT_KERNELS, _rank_state
+from kec.kernels import (
+    BUILTIN_KERNELS,
+    DEFAULT_KERNELS,
+    _prepare,
+    _rank_state,
+    kernel_cross,
+)
 
 from helpers import random_dataset, rescaled_pattern_dataset
 
@@ -31,6 +37,54 @@ def test_label_zero_rows_never_change_the_fit(seed, positions):
     grown = fit(Dataset(features, labels, 3))
     assert grown.cross_entropies.tobytes() == base.cross_entropies.tobytes()
     assert grown.kernel.name == base.kernel.name
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# p = 9000 is past 8192, numpy's default iterator buffer, at which a
+# reduction could be split; the drawn p covers the short rows and odd
+# lengths whose SIMD tails are handled apart.
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(BUILTIN_KERNELS)),
+    p=st.integers(1, 1100),
+    n=st.integers(1, 12),
+    k=st.integers(1, 6),
+    tied=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="linear", p=9000, n=5, k=3, tied=False, seed=0)
+@example(name="distance", p=9000, n=5, k=3, tied=False, seed=1)
+@example(name="spearman", p=9000, n=5, k=3, tied=True, seed=2)
+def test_cross_rows_do_not_depend_on_the_call(name, p, n, k, tied, seed):
+    """Each entry of kernel_cross depends on its own two rows alone, bitwise.
+
+    Row subsets are views at row offsets 0, 1 and 3 (for odd p their data
+    is not aligned as the full matrix's is), single rows on either side,
+    and operands prepared for the kernel on either side.
+    """
+    p = max(p, 2) if name == "spearman" else p
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    U = rng.normal(size=(k, p))
+    if tied:
+        X, U = np.round(X), np.round(U)
+    full = kernel_cross(X, U, name)
+    for start in (0, 1, 3):
+        if start < n:
+            stop = start + (n - start + 1) // 2
+            sub = kernel_cross(X[start:stop], U, name)
+            assert _same_bits(sub, full[start:stop])
+    for i in range(n):
+        assert _same_bits(kernel_cross(X[i : i + 1], U, name), full[i : i + 1])
+    for j in range(k):
+        assert _same_bits(kernel_cross(X, U[j : j + 1], name), full[:, j : j + 1])
+    PX, PU = _prepare(X, name), _prepare(U, name)
+    assert _same_bits(kernel_cross(PX, PU, name), full)
+    assert _same_bits(kernel_cross(X[1:], PU, name), full[1:])
+    assert _same_bits(kernel_cross(PX, U[k // 2 :], name), full[:, k // 2 :])
 
 
 # A small alphabet makes ties common; NaN, infinities and signed zeros
