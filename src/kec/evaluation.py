@@ -24,7 +24,12 @@ from .kernels import BASELINE_KERNEL, DEFAULT_KERNELS, _prepare, resolve_kernel
 from .lda import fit_lda, predict
 from .parallel import map_ordered
 from .reference import embed_reference
-from .selection import DEFAULT_SWITCH_THRESHOLD, _candidates, fit
+from .selection import (
+    DEFAULT_SWITCH_THRESHOLD,
+    _candidates,
+    _check_switch_threshold,
+    fit,
+)
 from .simgen import SimSetting, generate
 
 METHOD_FAST_MULTI = "fast-multi"
@@ -53,6 +58,7 @@ class EvalConfig:
             raise InvalidParams(
                 f"unknown methods {unknown}; expected a subset of {METHODS}"
             )
+        _check_switch_threshold(self.switch_threshold)
 
 
 @dataclass(frozen=True)

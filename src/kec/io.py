@@ -26,7 +26,7 @@ from .data import Dataset
 from .errors import InvalidParams, KecError, NotFitted
 from .kernels import BUILTIN_KERNELS
 from .lda import LdaModel
-from .selection import EncoderModel
+from .selection import EncoderModel, _check_switch_threshold
 
 SCHEMA = "kec-model/1"
 
@@ -70,16 +70,19 @@ def read_csv(path, num_classes=None) -> Dataset:
         row = np.dtype([("f", np.float64, (p,)), ("label", np.int64)])
         # loadtxt warns on input with no rows, so a header-only file is
         # recognised before it is called.
-        first = next((line for line in fh if line.strip()), None)
+        start, first = next(
+            ((i, line) for i, line in enumerate(fh, start=2) if line.strip()),
+            (None, None),
+        )
         table = np.empty(0, dtype=row)
         if first is not None:
             try:
                 table = np.loadtxt(itertools.chain([first], fh), dtype=row,
                                    delimiter=",", comments=None, ndmin=1)
-            except ValueError as exc:
+            except ValueError:
                 raise InvalidParams(
-                    f"{path}: expected {p + 1} fields per row, {p} numbers "
-                    f"and an integer label: {exc}"
+                    f"{path}: line {_first_bad_line(path, start, row)}: "
+                    f"expected {p + 1} fields, {p} numbers and an integer label"
                 ) from None
     labs = table["label"]
     if num_classes is None:
@@ -89,6 +92,22 @@ def read_csv(path, num_classes=None) -> Dataset:
                 f"{path}: no positive labels; pass num_classes explicitly"
             )
     return Dataset(features=table["f"], labels=labs, num_classes=num_classes)
+
+
+def _first_bad_line(path, start: int, row: np.dtype) -> int:
+    """Number, from 1, of the first file line from ``start`` on that
+    ``np.loadtxt`` rejects on its own; it skips empty lines, as loadtxt does.
+
+    Rows are parsed independently, so this is the line that failed the
+    whole-file read; numpy's own message counts rows, not file lines.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if number >= start and line.rstrip("\n"):
+                try:
+                    np.loadtxt([line], dtype=row, delimiter=",", comments=None)
+                except ValueError:
+                    return number
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +140,11 @@ def save_model(path, model: EncoderModel) -> None:
         "kernel_ids": list(model.kernel_ids),
         "cross_entropies": model.cross_entropies.tolist(),
     }
+    # Serialized before the file is opened, so a value JSON cannot hold
+    # (NaN, infinity) leaves no partial file behind.
+    text = json.dumps(doc, indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_model(path) -> EncoderModel:
@@ -131,8 +152,9 @@ def load_model(path) -> EncoderModel:
 
     The artifact is validated before it is accepted: matrix shapes against
     ``num_classes`` and ``num_features``, finite values, priors that are
-    positive and sum to 1, a positive-definite covariance, and one
-    cross-entropy per candidate with the chosen kernel among them. The
+    positive and sum to 1, a positive-definite covariance, one
+    cross-entropy per candidate with the chosen kernel among them, and a
+    finite, positive switch threshold. The
     derived serving state (covariance factor, whitening matrix, prepared
     class means) is rebuilt here; it is not part of the file.
     """
@@ -169,6 +191,7 @@ def load_model(path) -> EncoderModel:
         path, shape, class_means, lda_means, cross_entropies, kernel_ids, kernel
     )
     try:
+        _check_switch_threshold(switch_threshold)
         lda = LdaModel(
             means=lda_means, pooled_cov=pooled_cov, priors=priors, ridge=ridge
         )

@@ -14,11 +14,14 @@ Three built-in kernels are provided:
 
 Each scalar kernel is ``kernel_cross`` on a one-row X and a one-row U, so
 ``kernel_cross(X, U, k)[i, j]`` equals the scalar value bitwise by
-construction. The cross step is a plain elementwise product or
-difference and a trailing-axis row reduction; it deliberately avoids
-BLAS matrix products, whose accumulation order depends on the shape of
-the call, so a row's value never depends on which other rows share its
-call. The cost is still O(nKp).
+construction. The cross step is numpy's own C sum-of-products loop,
+``np.einsum`` with ``optimize=False``: the products of x and u for
+linear, of their centered ranks for spearman, and of the difference
+x - u with itself for distance. That loop sums each entry over the
+trailing axis in an order that depends on p alone, so a row's value
+never depends on which other rows share its call. No BLAS is involved:
+a BLAS matrix product's accumulation order depends on the shape of the
+call. The cost is O(nKp).
 
 A cross step needs per-row state besides the rows themselves: row norms
 for distance, centered ranks and their sums of squares for spearman.
@@ -32,7 +35,6 @@ product.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,9 +46,9 @@ from .errors import DegenerateLength, DimensionMismatch, UnknownKernel
 # metadata so results are reproducible if a variant is added later.
 DISTANCE_TRANSFORM = "origin-centered"
 
-# Cap on the (rows, K, p) broadcast work buffer, in elements. Small enough
-# to stay allocator-friendly, large enough that per-chunk overhead is noise.
-_CHUNK_ELEMS = 1 << 20
+# Cap on the (rows, K, p) difference buffer of the distance cross step,
+# in elements: 512 KiB stays in cache between its write and its read.
+_CHUNK_ELEMS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -91,36 +93,6 @@ def spearman(x, u) -> float:
 
 def _row_step(n: int, num_reps: int, p: int) -> int:
     return max(1, min(n, _CHUNK_ELEMS // max(1, num_reps * p)))
-
-
-_scratch = threading.local()
-
-
-def _scratch_buffer(shape: tuple) -> np.ndarray:
-    """Per-thread reusable work buffer.
-
-    Repeated multi-megabyte allocations go through mmap and fault in on
-    every call; keeping one buffer per thread makes the fast path's cost
-    stable. Every element read is written first, so reuse cannot leak
-    values between calls.
-    """
-    buf = getattr(_scratch, "buf", None)
-    if buf is None or buf.shape != shape:
-        buf = _scratch.buf = np.empty(shape)
-    return buf
-
-
-def _product_reduce(X: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[i, j] = sum_s X[i, s] * U[j, s], chunked over rows of X."""
-    n, p = X.shape
-    k = U.shape[0]
-    step = _row_step(n, k, p)
-    buf = _scratch_buffer((step, k, p))
-    for s in range(0, n, step):
-        c = min(step, n - s)
-        np.multiply(X[s : s + c, None, :], U[None, :, :], out=buf[:c])
-        np.sum(buf[:c], axis=-1, out=out[s : s + c])
-    return out
 
 
 # Per-row state of an operand that a cross step needs besides its rows:
@@ -230,7 +202,8 @@ def _rows(A) -> np.ndarray:
 
 
 def _cross_inner(X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    return _product_reduce(X, U, np.empty((X.shape[0], U.shape[0])))
+    """out[i, j] = sum_s X[i, s] * U[j, s], in an order set by p alone."""
+    return np.einsum("ij,kj->ik", X, U, optimize=False)
 
 
 def _cross_distance(X, U) -> np.ndarray:
@@ -240,12 +213,11 @@ def _cross_distance(X, U) -> np.ndarray:
     k = U.shape[0]
     out = np.empty((n, k))
     step = _row_step(n, k, p)
-    buf = _scratch_buffer((step, k, p))
+    d = np.empty((step, k, p))
     for s in range(0, n, step):
         c = min(step, n - s)
-        np.subtract(X[s : s + c, None, :], U[None, :, :], out=buf[:c])
-        np.multiply(buf[:c], buf[:c], out=buf[:c])
-        np.sum(buf[:c], axis=-1, out=out[s : s + c])
+        np.subtract(X[s : s + c, None, :], U[None, :, :], out=d[:c])
+        np.einsum("ikp,ikp->ik", d[:c], d[:c], out=out[s : s + c], optimize=False)
     np.sqrt(out, out=out)
     return (nx[:, None] + nu[None, :] - out) / 2.0
 
@@ -255,7 +227,7 @@ def _cross_spearman(X, U) -> np.ndarray:
         raise DegenerateLength("spearman needs vectors of length >= 2")
     cx, ssx = _state(X, _rank_state)
     cu, ssu = _state(U, _rank_state)
-    num = _product_reduce(cx, cu, np.empty((cx.shape[0], cu.shape[0])))
+    num = _cross_inner(cx, cu)
     den = np.sqrt(ssx[:, None] * ssu[None, :])
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
@@ -332,7 +304,10 @@ def resolve_kernel(kind) -> Kernel:
 # ---------------------------------------------------------------------------
 
 def _as_matrix(A):
-    return A if isinstance(A, _Prepared) else np.ascontiguousarray(A, dtype=np.float64)
+    # Aligned as well as contiguous: numpy's sum-of-products loop would
+    # copy a misaligned operand in chunks of its buffer size and split
+    # the sums of rows longer than that.
+    return A if isinstance(A, _Prepared) else np.require(A, np.float64, "CAE")
 
 
 def _as_matrix_pair(X, U) -> tuple:

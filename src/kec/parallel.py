@@ -6,6 +6,8 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import InvalidParams
+
 ENV_THREADS = "KEC_THREADS"
 
 # Set on the threads of a running fan-out, so a nested one runs inline.
@@ -13,11 +15,20 @@ _worker = threading.local()
 
 
 def resolve_threads(threads=None) -> int:
-    """Explicit value, else the KEC_THREADS env var, else machine parallelism."""
+    """Explicit value, else the KEC_THREADS env var, else machine parallelism.
+
+    An explicit or KEC_THREADS count below 1 raises InvalidParams.
+    """
+    source = "thread count"
     if threads is None:
         env = os.environ.get(ENV_THREADS)
-        threads = int(env) if env else (os.cpu_count() or 1)
-    return max(1, int(threads))
+        if not env:
+            return os.cpu_count() or 1
+        threads, source = env, ENV_THREADS
+    threads = int(threads)
+    if threads < 1:
+        raise InvalidParams(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _as_worker(fn):

@@ -11,6 +11,7 @@ argmin over the non-baseline candidates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .data import Dataset, validate
 from .encoder import build_U, build_weights, embed
 from .errors import (
     DimensionMismatch,
+    InvalidParams,
     NoBaselineKernel,
     NonFiniteFeature,
     NotFitted,
@@ -113,6 +115,14 @@ def cross_entropy(T, V) -> float:
     return float(-np.sum(v * np.log(np.clip(t, LOG_CLIP, None)))) + 0.0
 
 
+def _check_switch_threshold(threshold) -> None:
+    """Reject a switching-rule threshold that is not finite and positive."""
+    if not (math.isfinite(threshold) and threshold > 0.0):
+        raise InvalidParams(
+            f"switch threshold must be finite and greater than 0, got {threshold}"
+        )
+
+
 def select_kernel(scores, baseline: int, threshold: float = DEFAULT_SWITCH_THRESHOLD) -> int:
     """Index of the kernel to use, given per-kernel scores.
 
@@ -179,6 +189,7 @@ def fit(
     so the folds of one replicate share one preparation of their common
     features. An entry prepared from another array is ignored.
     """
+    _check_switch_threshold(switch_threshold)
     candidates = _candidates(kernels)
     if not candidates:
         raise NoBaselineKernel("kernel list is empty")

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from kec import fit, load_model, predict_new, read_csv, save_model
+from kec.cli import main
+from kec.parallel import ENV_THREADS
 
 BASE = [sys.executable, "-m", "kec"]
 
@@ -235,6 +237,7 @@ class TestPredictRejectsBadArtifacts:
             "negative-priors",
             "short-cross-entropies",
             "non-pd-covariance",
+            "nan-switch-threshold",
         ],
     )
     def test_exits_2_without_output(self, tmp_path, case):
@@ -250,6 +253,8 @@ class TestPredictRejectsBadArtifacts:
             doc["lda"]["priors"] = [1.5, -0.25, -0.25]
         elif case == "short-cross-entropies":
             doc["cross_entropies"].pop()
+        elif case == "nan-switch-threshold":
+            doc["switch_threshold"] = float("nan")  # dumped as bare NaN
         else:
             doc["lda"]["pooled_cov"][0][0] = -1.0
         model.write_text(json.dumps(doc))
@@ -263,6 +268,61 @@ class TestPredictRejectsBadArtifacts:
         assert len(res.stderr.splitlines()) == 1
         assert res.stderr.startswith("error: ")
         assert not out.exists()
+
+
+class TestRejectsInvalidSettings:
+    """A bad threshold or thread count exits 2 with one line, writing nothing.
+
+    Run in process: the checks come before any work, so no data is needed
+    beyond a small CSV.
+    """
+
+    def _exits_2(self, capsys, *argv):
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        return err
+
+    def _data(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("f1,f2,label\n0.1,0.2,1\n0.3,0.1,2\n0.2,0.4,1\n")
+        return data
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_train_switch_threshold(self, tmp_path, capsys, value):
+        model = tmp_path / "m.json"
+        err = self._exits_2(
+            capsys, "train", "--data", str(self._data(tmp_path)),
+            "--model-out", str(model), "--switch-threshold", value,
+        )
+        assert "switch threshold" in err
+        assert not model.exists()
+
+    def test_cv_switch_threshold(self, capsys):
+        err = self._exits_2(
+            capsys, "cv", "--setting", "uniform-hd", "--n", "50",
+            "--switch-threshold", "nan",
+        )
+        assert "switch threshold" in err
+
+    def test_threads_flag_below_one(self, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        err = self._exits_2(
+            capsys, "train", "--data", str(self._data(tmp_path)),
+            "--model-out", str(model), "--threads", "0",
+        )
+        assert "at least 1" in err
+        assert not model.exists()
+
+    def test_threads_env_below_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_THREADS, "-2")
+        model = tmp_path / "m.json"
+        err = self._exits_2(
+            capsys, "train", "--data", str(self._data(tmp_path)),
+            "--model-out", str(model),
+        )
+        assert ENV_THREADS in err
+        assert not model.exists()
 
 
 class TestCv:

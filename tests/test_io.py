@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -66,6 +67,24 @@ class TestCsv:
         with pytest.raises(InvalidParams, match="3 fields"):
             read_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("f1,f2,label\n0.1,0.2,1\n\n0.3,0.4,2\n0.5,1\n", 5),
+            ("f1,f2,label\n0.1,0.2,1\n0.3,0.4,2\n0.5,0.5,1.5\n", 4),
+            ("f1,f2,label\r\n\r\n0.1,0.2,1\r\n  \r\n0.3,0.4,2\r\n", 4),
+        ],
+        ids=["short-row", "float-label", "blank-only-line"],
+    )
+    def test_bad_row_names_its_file_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(InvalidParams) as info:
+            read_csv(path)
+        assert f": line {line}: expected 3 fields" in str(info.value)
+        assert "at row" not in str(info.value)
+        assert "usecols" not in str(info.value)
+
 
 class TestArtifact:
     @pytest.mark.parametrize("seed", [0, 1])
@@ -124,6 +143,14 @@ class TestArtifact:
         model = fit(ds, kernels=("linear", my_kernel))
         with pytest.raises(InvalidParams):
             save_model(tmp_path / "model.json", model)
+
+    def test_non_finite_threshold_is_not_written(self, tmp_path):
+        model = fit(random_dataset(np.random.default_rng(5), 50, 5, 2))
+        path = tmp_path / "model.json"
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                save_model(path, dataclasses.replace(model, switch_threshold=value))
+            assert not path.exists()
 
     def test_wrong_schema_rejected(self, tmp_path):
         path = tmp_path / "model.json"
@@ -203,6 +230,11 @@ class TestArtifactValidation:
                 lambda d: d["lda"]["pooled_cov"][0].__setitem__(0, -1.0),
                 SingularCovariance,
                 "positive-definite",
+            ),
+            (
+                lambda d: d.update(switch_threshold=float("nan")),
+                InvalidParams,
+                "switch threshold",
             ),
         ],
     )

@@ -2,6 +2,7 @@ import threading
 
 import pytest
 
+from kec.errors import InvalidParams
 from kec.parallel import ENV_THREADS, map_ordered, resolve_threads
 
 
@@ -20,9 +21,13 @@ def test_machine_default(monkeypatch):
     assert resolve_threads(None) >= 1
 
 
-def test_floor_at_one():
-    assert resolve_threads(0) == 1
-    assert resolve_threads(-4) == 1
+def test_counts_below_one_rejected(monkeypatch):
+    for threads in (0, -4):
+        with pytest.raises(InvalidParams, match="at least 1"):
+            resolve_threads(threads)
+    monkeypatch.setenv(ENV_THREADS, "0")
+    with pytest.raises(InvalidParams, match=ENV_THREADS):
+        resolve_threads(None)
 
 
 @pytest.mark.parametrize("threads", [1, 4])

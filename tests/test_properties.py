@@ -62,8 +62,9 @@ def test_cross_rows_do_not_depend_on_the_call(name, p, n, k, tied, seed):
     """Each entry of kernel_cross depends on its own two rows alone, bitwise.
 
     Row subsets are views at row offsets 0, 1 and 3 (for odd p their data
-    is not aligned as the full matrix's is), single rows on either side,
-    and operands prepared for the kernel on either side.
+    is not aligned as the full matrix's is); the other operands are single
+    rows on either side, a copy of X one byte off float64 alignment, and
+    operands prepared for the kernel on either side.
     """
     p = max(p, 2) if name == "spearman" else p
     rng = np.random.default_rng(seed)
@@ -81,6 +82,9 @@ def test_cross_rows_do_not_depend_on_the_call(name, p, n, k, tied, seed):
         assert _same_bits(kernel_cross(X[i : i + 1], U, name), full[i : i + 1])
     for j in range(k):
         assert _same_bits(kernel_cross(X, U[j : j + 1], name), full[:, j : j + 1])
+    misaligned = np.ndarray(X.shape, X.dtype, np.zeros(X.nbytes + 1, np.uint8), 1)
+    misaligned[...] = X
+    assert _same_bits(kernel_cross(misaligned, U, name), full)
     PX, PU = _prepare(X, name), _prepare(U, name)
     assert _same_bits(kernel_cross(PX, PU, name), full)
     assert _same_bits(kernel_cross(X[1:], PU, name), full[1:])
