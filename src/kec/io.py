@@ -95,11 +95,11 @@ def read_csv(path, num_classes=None) -> Dataset:
 
 
 def _first_bad_line(path, start: int, row: np.dtype) -> int:
-    """Number, from 1, of the first file line from ``start`` on that
-    ``np.loadtxt`` rejects on its own; it skips empty lines, as loadtxt does.
+    """File line number, from 1, of the first row ``np.loadtxt`` rejects.
 
-    Rows are parsed independently, so this is the line that failed the
-    whole-file read; numpy's own message counts rows, not file lines.
+    Lines from ``start`` on are parsed one at a time, skipping empty lines
+    as loadtxt does; rows are independent, so this is the row that failed
+    the whole-file read. numpy's own message counts rows, not file lines.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):

@@ -182,7 +182,8 @@ def fit(
     cross-entropy score. Branches are dispatched slowest first (custom
     kernels, spearman, distance, linear) and collected back in candidate
     order, so the result does not depend on the schedule. The candidate
-    set must contain the inner product, which anchors the switching rule.
+    set must contain the inner product, which anchors the switching rule,
+    and ``switch_threshold`` must be finite and greater than 0.
 
     ``_prepared`` is private to ``cross_validate``: a mapping from
     candidate Kernel to ``kernels._prepare(dataset.features, kernel)``,
