@@ -7,16 +7,16 @@ Tables and data go to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .data import validate
 from .errors import KecError
 from .evaluation import (
     EvalConfig,
-    METHODS,
     PATH_FAST,
     PATH_REFERENCE,
     bench_scaling,
@@ -89,8 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--setting", choices=SETTINGS)
     cv.add_argument("--n", type=int, default=500)
     cv.add_argument("--p", type=int, default=500)
-    cv.add_argument("--k", type=int, default=5, dest="num_classes")
-    cv.add_argument("--num-classes", type=int, default=None, dest="file_classes")
+    cv.add_argument(
+        "--k", "--num-classes", type=int, default=None, dest="num_classes",
+        help="K; defaults to 5 for --setting and to the largest label for --data",
+    )
     cv.add_argument("--folds", type=int, default=5)
     cv.add_argument("--replicates", type=int, default=20)
     cv.add_argument("--seed", type=int, default=0)
@@ -164,76 +166,44 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _format_pm(mean: float, std: float, digits: int = 4) -> str:
-    return f"{mean:.{digits}f} ± {std:.{digits}f}"
-
-
 def _write_records(path, rows) -> None:
-    import json
-
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(json.dumps(row) + "\n")
 
 
 def _cmd_cv(args) -> int:
-    methods = tuple(_comma_list(args.methods))
-    bad = [m for m in methods if m not in METHODS]
-    if bad:
-        raise KecError(f"unknown methods {bad}; expected subset of {METHODS}")
     config = EvalConfig(
         folds=args.folds,
         replicates=args.replicates,
         seed=args.seed,
-        methods=methods,
-        timing=not args.no_timing,
+        methods=tuple(_comma_list(args.methods)),
         threads=resolve_threads(args.threads),
         switch_threshold=args.switch_threshold,
     )
     if args.data:
-        source = read_csv(args.data, num_classes=args.file_classes)
-        validate(source)
+        source = read_csv(args.data, num_classes=args.num_classes)
     else:
         source = SimSetting(
-            args.setting, n=args.n, p=args.p, num_classes=args.num_classes,
+            args.setting, n=args.n, p=args.p,
+            num_classes=5 if args.num_classes is None else args.num_classes,
             seed=args.seed,
         )
     report = cross_validate(source, config, _comma_list(args.kernels))
-    if config.timing:
-        print(f"{'method':<14}{'error':<22}{'time (s)':<22}")
-        for s in report.summaries:
-            print(
-                f"{s.method:<14}"
-                f"{_format_pm(s.error_mean, s.error_std):<22}"
-                f"{_format_pm(s.time_mean, s.time_std):<22}"
-            )
-    else:
-        print(f"{'method':<14}{'error':<22}")
-        for s in report.summaries:
-            print(f"{s.method:<14}{_format_pm(s.error_mean, s.error_std):<22}")
+    rows = [("method", "error", "time (s)")] + [
+        (s.method, f"{s.error_mean:.4f} ± {s.error_std:.4f}",
+         f"{s.time_mean:.4f} ± {s.time_std:.4f}")
+        for s in report.summaries
+    ]
+    columns = 2 if args.no_timing else 3
+    for row in rows:
+        print(f"{row[0]:<14}" + "".join(f"{cell:<22}" for cell in row[1:columns]))
     if args.records:
-        rows = [
-            {
-                "kind": "summary",
-                "method": s.method,
-                "error_mean": s.error_mean,
-                "error_std": s.error_std,
-                "time_mean": s.time_mean,
-                "time_std": s.time_std,
-            }
-            for s in report.summaries
-        ] + [
-            {
-                "kind": "fold",
-                "method": r.method,
-                "replicate": r.replicate,
-                "fold": r.fold,
-                "error": r.error,
-                "seconds": r.seconds,
-            }
-            for r in report.records
-        ]
-        _write_records(args.records, rows)
+        _write_records(
+            args.records,
+            [{"kind": "summary", **dataclasses.asdict(s)} for s in report.summaries]
+            + [{"kind": "fold", **dataclasses.asdict(r)} for r in report.records],
+        )
     return EXIT_OK
 
 
@@ -256,19 +226,14 @@ def _cmd_bench(args) -> int:
     for path, slope in report.slopes.items():
         print(f"{path} log-log slope: {slope:.3f}")
     if args.records:
-        rows = [
-            {
-                "kind": "point",
-                "path": pt.path,
-                "n": pt.n,
-                "median_seconds": pt.median_seconds,
-            }
-            for pt in report.points
-        ] + [
-            {"kind": "slope", "path": path, "slope": slope}
-            for path, slope in report.slopes.items()
-        ]
-        _write_records(args.records, rows)
+        _write_records(
+            args.records,
+            [{"kind": "point", **dataclasses.asdict(pt)} for pt in report.points]
+            + [
+                {"kind": "slope", "path": path, "slope": slope}
+                for path, slope in report.slopes.items()
+            ],
+        )
     return EXIT_OK
 
 

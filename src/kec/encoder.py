@@ -88,9 +88,7 @@ def embed(X, U, kernel) -> np.ndarray:
     training labels. Rows are independent, so embedding a subset of rows
     gives exactly the rows of the full embedding. U may be a fitted
     model's prepared class means, which embed bitwise like the raw ones.
+    ``kernel_cross`` raises ``DimensionMismatch`` unless X and U are
+    matrices with the same column count.
     """
-    if np.ndim(X) != 2 or np.ndim(U) != 2 or np.shape(X)[1] != np.shape(U)[1]:
-        raise DimensionMismatch(
-            f"cannot embed {np.shape(X)} against representatives {np.shape(U)}"
-        )
     return kernel_cross(X, U, kernel)

@@ -44,7 +44,6 @@ class EvalConfig:
     replicates: int = 20
     seed: int = 0
     methods: tuple = (METHOD_FAST_LINEAR, METHOD_FAST_MULTI)
-    timing: bool = True
     threads: int = 1
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD
 
@@ -56,7 +55,7 @@ class EvalConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise InvalidParams(
-                f"unknown methods {unknown}; expected a subset of {METHODS}"
+                f"unknown methods {unknown}; expected subset of {METHODS}"
             )
         _check_switch_threshold(self.switch_threshold)
 
@@ -257,7 +256,6 @@ def bench_scaling(
     kernels=(BASELINE_KERNEL,),
     runs: int = 5,
     paths=(PATH_FAST, PATH_REFERENCE),
-    switch_threshold: float = DEFAULT_SWITCH_THRESHOLD,
 ) -> ScalingReport:
     """Median train time per grid point and the log-log slope per path.
 
@@ -293,7 +291,7 @@ def bench_scaling(
             )
             if path == PATH_FAST:
                 def train():
-                    fit(dataset, kernels, switch_threshold)
+                    fit(dataset, kernels)
             else:
                 trn = np.flatnonzero(dataset.labels > 0)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidParams, KecError, NotFitted
-from .kernels import BUILTIN_KERNELS
+from .kernels import BUILTIN_KERNELS, DISTANCE_TRANSFORM
 from .lda import LdaModel
 from .selection import EncoderModel, _check_switch_threshold
 
@@ -55,35 +55,44 @@ def write_csv(path, dataset: Dataset) -> None:
 
 
 def read_csv(path, num_classes=None) -> Dataset:
-    """Load a dataset; K defaults to the largest label in the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise InvalidParams(f"{path}: missing header row")
-        columns = header.split(",")
-        if columns[-1] != "label":
-            raise InvalidParams(
-                f"{path}: last column must be named 'label', got "
-                f"{columns[-1]!r}"
-            )
-        p = len(columns) - 1
-        row = np.dtype([("f", np.float64, (p,)), ("label", np.int64)])
-        # loadtxt warns on input with no rows, so a header-only file is
-        # recognised before it is called.
-        start, first = next(
-            ((i, line) for i, line in enumerate(fh, start=2) if line.strip()),
-            (None, None),
-        )
-        table = np.empty(0, dtype=row)
-        if first is not None:
-            try:
-                table = np.loadtxt(itertools.chain([first], fh), dtype=row,
-                                   delimiter=",", comments=None, ndmin=1)
-            except ValueError:
+    """Load a dataset; K defaults to the largest label in the file.
+
+    Only empty lines are skipped; a line of blanks is a malformed row.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if not header:
+                raise InvalidParams(f"{path}: missing header row")
+            columns = header.split(",")
+            if columns[-1] != "label":
                 raise InvalidParams(
-                    f"{path}: line {_first_bad_line(path, start, row)}: "
-                    f"expected {p + 1} fields, {p} numbers and an integer label"
-                ) from None
+                    f"{path}: last column must be named 'label', got "
+                    f"{columns[-1]!r}"
+                )
+            p = len(columns) - 1
+            row = np.dtype([("f", np.float64, (p,)), ("label", np.int64)])
+            # loadtxt warns on input with no rows, so a header-only file is
+            # recognised before it is called.
+            start, first = next(
+                ((i, line) for i, line in enumerate(fh, start=2) if line != "\n"),
+                (None, None),
+            )
+            table = np.empty(0, dtype=row)
+            if first is not None:
+                try:
+                    table = np.loadtxt(itertools.chain([first], fh), dtype=row,
+                                       delimiter=",", comments=None, ndmin=1)
+                except ValueError:
+                    raise InvalidParams(
+                        f"{path}: line {_first_bad_line(path, start, row)}: "
+                        f"expected {p + 1} fields, {p} numbers and an integer label"
+                    ) from None
+    except UnicodeDecodeError as exc:
+        raise InvalidParams(
+            f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#x} "
+            f"({exc.reason})"
+        ) from None
     labs = table["label"]
     if num_classes is None:
         num_classes = int(labs.max()) if labs.size else 1
@@ -103,7 +112,7 @@ def _first_bad_line(path, start: int, row: np.dtype) -> int:
     """
     with open(path, "r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, start=1):
-            if number >= start and line.rstrip("\n"):
+            if number >= start and line != "\n":
                 try:
                     np.loadtxt([line], dtype=row, delimiter=",", comments=None)
                 except ValueError:
@@ -128,7 +137,7 @@ def save_model(path, model: EncoderModel) -> None:
         "num_classes": model.num_classes,
         "num_features": model.num_features,
         "kernel": model.kernel.name,
-        "kernel_params": {"distance_transform": model.distance_transform},
+        "kernel_params": {"distance_transform": DISTANCE_TRANSFORM},
         "switch_threshold": model.switch_threshold,
         "class_means": model.class_means.tolist(),
         "lda": {
@@ -153,8 +162,9 @@ def load_model(path) -> EncoderModel:
     The artifact is validated before it is accepted: matrix shapes against
     ``num_classes`` and ``num_features``, finite values, priors that are
     positive and sum to 1, a positive-definite covariance, one
-    cross-entropy per candidate with the chosen kernel among them, and a
-    finite, positive switch threshold. The
+    cross-entropy per candidate with the chosen kernel among them, the
+    origin-centered distance transform, and a finite, positive switch
+    threshold. The
     derived serving state (covariance factor, whitening matrix, prepared
     class means) is rebuilt here; it is not part of the file.
     """
@@ -185,10 +195,11 @@ def load_model(path) -> EncoderModel:
         kernel_ids = tuple(doc["kernel_ids"])
         switch_threshold = float(doc["switch_threshold"])
         distance_transform = doc["kernel_params"]["distance_transform"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NotFitted(f"{path}: incomplete model artifact ({exc})")
     _check_artifact(
-        path, shape, class_means, lda_means, cross_entropies, kernel_ids, kernel
+        path, shape, class_means, lda_means, cross_entropies, kernel_ids, kernel,
+        distance_transform,
     )
     try:
         _check_switch_threshold(switch_threshold)
@@ -204,12 +215,11 @@ def load_model(path) -> EncoderModel:
         cross_entropies=cross_entropies,
         kernel_ids=kernel_ids,
         switch_threshold=switch_threshold,
-        distance_transform=distance_transform,
     )
 
 
 def _check_artifact(path, shape, class_means, lda_means, cross_entropies,
-                    kernel_ids, kernel) -> None:
+                    kernel_ids, kernel, distance_transform) -> None:
     """Reject what is inconsistent outside the LDA block.
 
     The LDA block checks its own covariance and priors when constructed.
@@ -229,6 +239,8 @@ def _check_artifact(path, shape, class_means, lda_means, cross_entropies,
         )
     elif kernel.name not in kernel_ids:
         problem = f"kernel {kernel.name!r} is not among kernel_ids {list(kernel_ids)}"
+    elif distance_transform != DISTANCE_TRANSFORM:
+        problem = f"unknown distance transform {distance_transform!r}"
     else:
         return
     raise InvalidParams(f"{path}: invalid model artifact: {problem}")

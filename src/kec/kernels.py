@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import DegenerateLength, DimensionMismatch, UnknownKernel
 
-# Identifier of the distance-to-kernel transform in use, stored in model
-# metadata so results are reproducible if a variant is added later.
+# Identifier of the distance-to-kernel transform, written into every model
+# artifact; ``load_model`` rejects an artifact that names another one.
 DISTANCE_TRANSFORM = "origin-centered"
 
 # Cap on the (rows, K, p) difference buffer of the distance cross step,
@@ -244,9 +244,6 @@ class Kernel:
     scalar: Callable[[np.ndarray, np.ndarray], float]
     pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-    def __call__(self, x, u) -> float:
-        return self.scalar(x, u)
-
 
 INNER_PRODUCT = Kernel("linear", inner_product, _cross_inner)
 DISTANCE_INDUCED = Kernel("distance", distance_induced, _cross_distance)
@@ -362,6 +359,6 @@ def kernel_gram(X, kernel) -> np.ndarray:
     if X.ndim != 2:
         raise DimensionMismatch("kernel_gram expects a 2-D matrix")
     k = resolve_kernel(kernel)
-    if k.name == BASELINE_KERNEL and k is INNER_PRODUCT:
+    if k is INNER_PRODUCT:
         return X @ X.T
     return k.pairwise(X, X)

@@ -30,7 +30,6 @@ from .kernels import (
     BASELINE_KERNEL,
     DEFAULT_KERNELS,
     DISTANCE_INDUCED,
-    DISTANCE_TRANSFORM,
     INNER_PRODUCT,
     SPEARMAN_RANK,
     Kernel,
@@ -80,7 +79,6 @@ class EncoderModel:
     kernel_ids: tuple  # candidate names in order
     scores: tuple = field(repr=False, default=())  # all M fitted branches
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD
-    distance_transform: str = DISTANCE_TRANSFORM
     # class_means with the kernel's per-row state (centered ranks, row
     # norms), derived at construction for predict_new; never serialized.
     prepared_means: object = field(init=False, repr=False, compare=False)
@@ -258,11 +256,6 @@ def predict_new(model: EncoderModel, X_new):
         )
     if not np.isfinite(X_new).all():
         raise NonFiniteFeature("features contain NaN or infinite values")
-    if X_new.shape[0] == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty((0, model.num_classes)),
-        )
     Z = embed(X_new, model.prepared_means, model.kernel)
     post = posterior(model.lda, Z)
     labels = np.argmax(post, axis=1) + 1

@@ -5,9 +5,20 @@ import sys
 import numpy as np
 import pytest
 
-from kec import fit, load_model, predict_new, read_csv, save_model
+import kec.cli
+from kec import (
+    EvalReport,
+    fit,
+    load_model,
+    predict_new,
+    read_csv,
+    save_model,
+    write_csv,
+)
 from kec.cli import main
 from kec.parallel import ENV_THREADS
+
+from helpers import random_dataset
 
 BASE = [sys.executable, "-m", "kec"]
 
@@ -120,6 +131,27 @@ class TestTrain:
         assert res.returncode == 2
         assert len(res.stderr.splitlines()) == 1
         assert res.stderr.startswith("error: ")
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "data, where",
+        [
+            (b"f1,f2,label\n  \n0.1,0.2,1\n0.3,0.4,2\n", "line 2: "),
+            (b"f1,f2,label\n0.1,0.2,1\n  \n0.3,0.4,2\n", "line 3: "),
+            (b"f1,f2,label\n0.1,0.\xe92,1\n0.3,0.4,2\n", "not UTF-8 text"),
+        ],
+        ids=["blank-line-first", "blank-line-later", "latin1-byte"],
+    )
+    def test_unreadable_csv_exits_2_naming_the_file(
+        self, tmp_path, capsys, data, where
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        model = tmp_path / "m.json"
+        assert main(["train", "--data", str(path), "--model-out", str(model)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and where in err
+        assert len(err.splitlines()) == 1
         assert not model.exists()
 
     def test_training_error_line_matches_predict_new(self, tmp_path):
@@ -269,6 +301,24 @@ class TestPredictRejectsBadArtifacts:
         assert res.stderr.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("literal", ["1e400", "Infinity"])
+    @pytest.mark.parametrize("key", ["num_classes", "num_features"])
+    def test_overflowing_count_exits_2(self, tmp_path, capsys, key, literal):
+        data = tmp_path / "data.csv"
+        write_csv(data, random_dataset(np.random.default_rng(0), 30, 4, 2))
+        model = tmp_path / "model.json"
+        save_model(model, fit(read_csv(data)))
+        doc = json.loads(model.read_text())
+        doc[key] = 0
+        model.write_text(json.dumps(doc).replace(f'"{key}": 0', f'"{key}": {literal}'))
+        out = tmp_path / "pred.csv"
+        argv = ["--model", str(model), "--data", str(data), "--out", str(out)]
+        assert main(["predict", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "incomplete model artifact" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 class TestRejectsInvalidSettings:
     """A bad threshold or thread count exits 2 with one line, writing nothing.
@@ -366,6 +416,28 @@ class TestCv:
             "cv", "--setting", "uniform-hd", "--n", "50", "--methods", "svm"
         )
         assert res.returncode == 2
+
+    def test_one_class_count_option_for_both_sources(self, tmp_path, monkeypatch):
+        """--k and --num-classes set K for a setting and for a CSV file alike."""
+        sources = []
+
+        def record(source, config, kernels):
+            sources.append(source)
+            return EvalReport(records=(), summaries=())
+
+        monkeypatch.setattr(kec.cli, "cross_validate", record)
+        data = tmp_path / "data.csv"
+        data.write_text("f1,f2,label\n0.1,0.2,1\n0.3,0.1,2\n")
+        for argv, k in [
+            (["--setting", "uniform-hd"], 5),
+            (["--setting", "uniform-hd", "--k", "3"], 3),
+            (["--setting", "uniform-hd", "--num-classes", "3"], 3),
+            (["--data", str(data)], 2),
+            (["--data", str(data), "--k", "4"], 4),
+            (["--data", str(data), "--num-classes", "4"], 4),
+        ]:
+            assert main(["cv", *argv]) == 0
+            assert sources.pop().num_classes == k, argv
 
     def test_csv_source(self, tmp_path):
         data = simulate(tmp_path, n=60, p=10, k=2)

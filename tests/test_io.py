@@ -73,8 +73,9 @@ class TestCsv:
             ("f1,f2,label\n0.1,0.2,1\n\n0.3,0.4,2\n0.5,1\n", 5),
             ("f1,f2,label\n0.1,0.2,1\n0.3,0.4,2\n0.5,0.5,1.5\n", 4),
             ("f1,f2,label\r\n\r\n0.1,0.2,1\r\n  \r\n0.3,0.4,2\r\n", 4),
+            ("f1,f2,label\n\n  \n0.1,0.2,1\n0.3,0.4,2\n", 3),
         ],
-        ids=["short-row", "float-label", "blank-only-line"],
+        ids=["short-row", "float-label", "blank-only-line", "blank-only-first-line"],
     )
     def test_bad_row_names_its_file_line(self, tmp_path, text, line):
         path = tmp_path / "bad.csv"
@@ -84,6 +85,25 @@ class TestCsv:
         assert f": line {line}: expected 3 fields" in str(info.value)
         assert "at row" not in str(info.value)
         assert "usecols" not in str(info.value)
+
+    # Text is decoded 8 KiB at a time, so the three files put the bad byte
+    # where the header read, the scan for the first data row (past 10000
+    # empty lines) and the re-read that looks for the bad row meet it first.
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"f1,f\xe9,label\n0.1,0.2,1\n",
+            b"f1,f2,label\n" + b"\n" * 10000 + b"0.1,0.\xe92,1\n",
+            b"f1,f2,label\n" + b"0.1,0.2,1\n" * 2000 + b"0.1,0.\xe92,1\n",
+        ],
+        ids=["header", "first-row", "later-row"],
+    )
+    def test_non_utf8_byte_names_the_file(self, tmp_path, data):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(data)
+        with pytest.raises(InvalidParams, match="not UTF-8 text: byte 0xe9") as info:
+            read_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestArtifact:
@@ -236,6 +256,13 @@ class TestArtifactValidation:
                 InvalidParams,
                 "switch threshold",
             ),
+            (
+                lambda d: d["kernel_params"].update(distance_transform="mean"),
+                InvalidParams,
+                "distance transform 'mean'",
+            ),
+            (lambda d: d.update(num_classes=float("inf")), NotFitted, "incomplete"),
+            (lambda d: d.update(num_features=float("inf")), NotFitted, "incomplete"),
         ],
     )
     def test_inconsistent_artifact_rejected(self, tmp_path, mutate, error, message):

@@ -1,6 +1,10 @@
-"""Property-based invariants of kernels, ranking, the multi-kernel fit, CV and CSV."""
+"""Property-based invariants of kernels, ranking, the multi-kernel fit, CV,
+CSV and the model artifact."""
+
+import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -9,7 +13,8 @@ from scipy.stats import rankdata
 import kec.evaluation as evaluation
 from kec import Dataset, fit, predict_new
 from kec.evaluation import EvalConfig, cross_validate, kfold_split
-from kec.io import read_csv, write_csv
+from kec.cli import main
+from kec.io import load_model, read_csv, save_model, write_csv
 from kec.kernels import (
     BUILTIN_KERNELS,
     DEFAULT_KERNELS,
@@ -209,3 +214,89 @@ def test_csv_round_trip_is_exact(tmp_path_factory, data, n, p, k):
     assert back.features.shape == (n, p)
     assert back.features.tobytes() == features.tobytes()
     assert back.labels.tobytes() == labels.tobytes()
+
+
+def _leaf_paths(node, path=()):
+    """Key/index paths of every scalar in a parsed JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaf_paths(child, path + (key,))]
+
+
+@pytest.fixture(scope="module")
+def saved_artifact(tmp_path_factory):
+    """A small dataset's CSV path and the text of a model saved from it."""
+    tmp = tmp_path_factory.mktemp("artifact")
+    data, model = tmp / "data.csv", tmp / "good.json"
+    write_csv(data, random_dataset(np.random.default_rng(11), 24, 3, 2))
+    save_model(model, fit(read_csv(data)))
+    return data, model.read_text()
+
+
+# Serialized as Infinity, NaN, -1, 0, "x", [], {}, null, true and a
+# ragged nested list.
+_MUTANTS = [
+    float("inf"), float("nan"), -1, 0, "x", [], {}, None, True, [[1.0], [2.0, 3.0]]
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(leaf=st.integers(0, 10**6), value=st.sampled_from(_MUTANTS))
+@example(leaf=1, value=float("inf"))  # num_classes
+@example(leaf=2, value=float("inf"))  # num_features
+def test_mutated_artifact_never_crashes_predict(
+    saved_artifact, tmp_path_factory, leaf, value
+):
+    """Any one leaf of a saved model replaced: predict exits 0, 2 or 3.
+
+    It never raises; on exit 0 the prediction file holds no NaN. Leaves
+    are numbered in document order (schema, num_classes, num_features,
+    kernel, ...) and ``leaf`` is taken modulo their count.
+    """
+    data, text = saved_artifact
+    doc = json.loads(text)
+    paths = _leaf_paths(doc)
+    *parents, last = paths[leaf % len(paths)]
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    tmp = tmp_path_factory.mktemp("mutant")
+    model, out = tmp / "model.json", tmp / "pred.csv"
+    model.write_text(json.dumps(doc))
+    code = main(["predict", "--model", str(model), "--data", str(data),
+                 "--out", str(out)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert "nan" not in out.read_text().lower()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank_structured=st.booleans(),
+    tied=st.booleans(),
+    others=st.lists(st.sampled_from(("distance", "spearman")), unique=True),
+    baseline_at=st.integers(0, 2),
+    threshold=st.sampled_from([0.7, 1.0]),
+)
+def test_artifact_round_trip_is_exact(
+    tmp_path_factory, seed, rank_structured, tied, others, baseline_at, threshold
+):
+    """save, load, save again: the same bytes, and the same predictions bitwise."""
+    ds = _cv_dataset(seed, rank_structured, tied)
+    candidates = list(others)
+    candidates.insert(min(baseline_at, len(others)), "linear")
+    model = fit(ds, candidates, threshold)
+    tmp = tmp_path_factory.mktemp("round")
+    save_model(tmp / "a.json", model)
+    loaded = load_model(tmp / "a.json")
+    save_model(tmp / "b.json", loaded)
+    assert (tmp / "b.json").read_bytes() == (tmp / "a.json").read_bytes()
+    x = np.random.default_rng(seed).normal(0.0, 3.0, size=(17, ds.p))
+    for got, want in zip(predict_new(loaded, x), predict_new(model, x)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
