@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import Dataset, validate
 from .errors import InvalidParams, InsufficientGrid, TooFewSamples
-from .kernels import BASELINE_KERNEL, DEFAULT_KERNELS, _prepare, resolve_kernel
+from .kernels import BASELINE_KERNEL, DEFAULT_KERNELS, INNER_PRODUCT, _prepare
 from .lda import fit_lda, predict
 from .parallel import map_ordered
 from .reference import embed_reference
@@ -132,17 +132,6 @@ def _replicate_seeds(seed, replicate: int) -> tuple:
     return int(state[0]), int(state[1])
 
 
-def _method_kernels(methods, kernels) -> dict:
-    """The resolved candidate kernels of each configured fast method."""
-    use = {}
-    for method in methods:
-        if method == METHOD_FAST_LINEAR:
-            use[method] = (resolve_kernel(BASELINE_KERNEL),)
-        elif method == METHOD_FAST_MULTI:
-            use[method] = _candidates(kernels)
-    return use
-
-
 def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
     data_seed, fold_seed = _replicate_seeds(config.seed, replicate)
     if isinstance(data, SimSetting):
@@ -152,9 +141,8 @@ def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
     validate(dataset)
     folds = kfold_split(dataset.n, config.folds, fold_seed)
     start = time.perf_counter()
-    prepared = {
-        k: _prepare(dataset.features, k) for k in use.get(METHOD_FAST_MULTI, ())
-    }
+    multi = use[METHOD_FAST_MULTI] if METHOD_FAST_MULTI in config.methods else ()
+    prepared = {k: _prepare(dataset.features, k) for k in multi}
     charge = (time.perf_counter() - start) / config.folds
     records = []
     for fold_idx, test_idx in enumerate(folds):
@@ -195,9 +183,13 @@ def cross_validate(data, config: EvalConfig, kernels=DEFAULT_KERNELS) -> EvalRep
     by every fold's fit; its time is charged in equal shares to
     fast-multi's folds. fast-linear's kernel keeps no such state. Held-out
     rows are predicted from the embedding the fit already computed for
-    them.
+    them. ``kernels`` is resolved whichever methods are configured, so an
+    unknown name raises ``UnknownKernel`` before any replicate runs.
     """
-    use = _method_kernels(config.methods, kernels)
+    use = {
+        METHOD_FAST_LINEAR: (INNER_PRODUCT,),
+        METHOD_FAST_MULTI: _candidates(kernels),
+    }
     per_replicate = map_ordered(
         lambda r: _run_replicate(data, config, use, r),
         range(config.replicates),

@@ -124,14 +124,14 @@ def _first_bad_line(path, start: int, row: np.dtype) -> int:
 # ---------------------------------------------------------------------------
 
 def save_model(path, model: EncoderModel) -> None:
-    """Persist a trained model as a schema-versioned JSON document."""
-    if model.kernel.name not in BUILTIN_KERNELS:
-        raise InvalidParams(
-            f"cannot serialize model with custom kernel {model.kernel.name!r}"
-        )
-    unknown = [k for k in model.kernel_ids if k not in BUILTIN_KERNELS]
-    if unknown:
-        raise InvalidParams(f"cannot serialize custom kernels {unknown}")
+    """Persist a trained model as a schema-versioned JSON document.
+
+    The chosen kernel and every fitted candidate must be a built-in kernel
+    itself, not merely share its name, since the file stores names only.
+    """
+    for kernel in (model.kernel, *(s.kernel for s in model.scores)):
+        if BUILTIN_KERNELS.get(kernel.name) is not kernel:
+            raise InvalidParams(f"cannot serialize custom kernel {kernel.name!r}")
     doc = {
         "schema": SCHEMA,
         "num_classes": model.num_classes,
@@ -159,14 +159,15 @@ def save_model(path, model: EncoderModel) -> None:
 def load_model(path) -> EncoderModel:
     """Load a model artifact written by save_model.
 
-    The artifact is validated before it is accepted: matrix shapes against
-    ``num_classes`` and ``num_features``, finite values, priors that are
-    positive and sum to 1, a positive-definite covariance, one
-    cross-entropy per candidate with the chosen kernel among them, the
-    origin-centered distance transform, and a finite, positive switch
-    threshold. The
-    derived serving state (covariance factor, whitening matrix, prepared
-    class means) is rebuilt here; it is not part of the file.
+    The artifact is validated before it is accepted: ``num_classes`` and
+    ``num_features`` are JSON integers and the matrix shapes match them,
+    values are finite, priors are positive and sum to 1, the covariance is
+    positive-definite, there is one cross-entropy per candidate, every
+    candidate is a built-in kernel and the chosen one is among them, the
+    distance transform is origin-centered and the switch threshold is
+    finite and positive. The derived serving state (covariance factor,
+    whitening matrix, prepared class means) is rebuilt here; it is not
+    part of the file.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -185,7 +186,7 @@ def load_model(path) -> EncoderModel:
         )
     try:
         kernel = BUILTIN_KERNELS[doc["kernel"]]
-        shape = (int(doc["num_classes"]), int(doc["num_features"]))
+        shape = (doc["num_classes"], doc["num_features"])
         class_means = np.array(doc["class_means"], dtype=np.float64)
         lda_means = np.array(doc["lda"]["means"], dtype=np.float64)
         pooled_cov = np.array(doc["lda"]["pooled_cov"], dtype=np.float64)
@@ -197,6 +198,11 @@ def load_model(path) -> EncoderModel:
         distance_transform = doc["kernel_params"]["distance_transform"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise NotFitted(f"{path}: incomplete model artifact ({exc})")
+    if not all(type(count) is int for count in shape):
+        raise NotFitted(
+            f"{path}: incomplete model artifact (num_classes and num_features "
+            f"must be JSON integers, got {shape})"
+        )
     _check_artifact(
         path, shape, class_means, lda_means, cross_entropies, kernel_ids, kernel,
         distance_transform,
@@ -239,6 +245,8 @@ def _check_artifact(path, shape, class_means, lda_means, cross_entropies,
         )
     elif kernel.name not in kernel_ids:
         problem = f"kernel {kernel.name!r} is not among kernel_ids {list(kernel_ids)}"
+    elif not all(type(k) is str and k in BUILTIN_KERNELS for k in kernel_ids):
+        problem = f"kernel_ids {list(kernel_ids)} name a kernel that is not built in"
     elif distance_transform != DISTANCE_TRANSFORM:
         problem = f"unknown distance transform {distance_transform!r}"
     else:

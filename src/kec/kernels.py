@@ -23,13 +23,16 @@ never depends on which other rows share its call. No BLAS is involved:
 a BLAS matrix product's accumulation order depends on the shape of the
 call. The cost is O(nKp).
 
-A cross step needs per-row state besides the rows themselves: row norms
-for distance, centered ranks and their sums of squares for spearman.
-``_prepare`` computes it once for an operand that is used many times (a
-model's class means, a cross-validation replicate's features), and
-``kernel_cross`` accepts the prepared operand on either side.
-``kernel_gram`` has no bitwise contract and uses BLAS for the inner
-product.
+Every cross step takes two operands from ``_prepare``, the one place
+where an operand is converted to an aligned, C-contiguous float64 matrix,
+checked to be 2-D and given its kernel's per-row state: row norms for
+distance, centered ranks and their sums of squares for spearman, nothing
+for linear and custom kernels. Each ``Kernel`` owns the function that
+computes that state. An operand used many times (a model's class means, a
+cross-validation replicate's features) is prepared once and passed to
+``kernel_cross`` as it is; one prepared for another kernel is prepared
+again from its rows. ``kernel_gram`` has no bitwise contract and uses
+BLAS for the inner product.
 """
 
 from __future__ import annotations
@@ -95,12 +98,12 @@ def _row_step(n: int, num_reps: int, p: int) -> int:
     return max(1, min(n, _CHUNK_ELEMS // max(1, num_reps * p)))
 
 
-# Per-row state of an operand that a cross step needs besides its rows:
-# row norms for distance, centered ranks and their sums of squares for
-# spearman. ``_prepare`` computes it once, so a fitted model's class means
-# and a cross-validation replicate's features are not re-ranked per call;
-# the values are the ones the cross step would compute itself, so prepared
-# and raw operands give bitwise-equal results.
+# Per-row state of an operand that a cross step needs besides its rows;
+# ``_prepare`` computes it once per operand with its kernel's ``state``.
+
+def _no_state(A: np.ndarray) -> tuple:
+    return ()
+
 
 def _sq_norm(v: np.ndarray) -> np.ndarray:
     """Euclidean norm along the trailing axis via an explicit square-sum."""
@@ -172,13 +175,12 @@ def _tied_sorted_ranks(s, sorted_c) -> np.ndarray:
 class _Prepared:
     """An operand's rows plus their precomputed state for one kernel.
 
-    Accepted by ``kernel_cross`` in place of X or U; reports the rows'
-    shape and converts to them as an array, so shape checks and hashing
-    see the plain matrix.
+    Reports the rows' shape and converts to them as an array, so shape
+    checks and hashing see the plain matrix.
     """
 
-    rows: np.ndarray  # (n, p) float64, C-contiguous
-    state_fn: Callable
+    rows: np.ndarray  # (n, p) float64, C-contiguous and aligned
+    kernel: Kernel
     state: tuple
 
     @property
@@ -193,22 +195,18 @@ class _Prepared:
         return np.array(self.rows, dtype=dtype, copy=copy)
 
 
-def _state(A, state_fn: Callable) -> tuple:
-    return A.state if isinstance(A, _Prepared) else state_fn(A)
-
-
-def _rows(A) -> np.ndarray:
-    return A.rows if isinstance(A, _Prepared) else A
-
-
-def _cross_inner(X: np.ndarray, U: np.ndarray) -> np.ndarray:
+def _inner(X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """out[i, j] = sum_s X[i, s] * U[j, s], in an order set by p alone."""
     return np.einsum("ij,kj->ik", X, U, optimize=False)
 
 
-def _cross_distance(X, U) -> np.ndarray:
-    (nx,), (nu,) = _state(X, _distance_state), _state(U, _distance_state)
-    X, U = _rows(X), _rows(U)
+def _cross_inner(X: _Prepared, U: _Prepared) -> np.ndarray:
+    return _inner(X.rows, U.rows)
+
+
+def _cross_distance(X: _Prepared, U: _Prepared) -> np.ndarray:
+    (nx,), (nu,) = X.state, U.state
+    X, U = X.rows, U.rows
     n, p = X.shape
     k = U.shape[0]
     out = np.empty((n, k))
@@ -222,12 +220,11 @@ def _cross_distance(X, U) -> np.ndarray:
     return (nx[:, None] + nu[None, :] - out) / 2.0
 
 
-def _cross_spearman(X, U) -> np.ndarray:
+def _cross_spearman(X: _Prepared, U: _Prepared) -> np.ndarray:
     if X.shape[1] < 2:
         raise DegenerateLength("spearman needs vectors of length >= 2")
-    cx, ssx = _state(X, _rank_state)
-    cu, ssu = _state(U, _rank_state)
-    num = _cross_inner(cx, cu)
+    (cx, ssx), (cu, ssu) = X.state, U.state
+    num = _inner(cx, cu)
     den = np.sqrt(ssx[:, None] * ssu[None, :])
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
@@ -238,16 +235,23 @@ def _cross_spearman(X, U) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A named kernel: scalar form plus a row-block pairwise evaluator."""
+    """A named kernel: scalar form, pairwise evaluator and per-row state.
+
+    ``pairwise`` takes two operands from ``_prepare``; ``state`` computes
+    the per-row state it reads from them (none by default).
+    """
 
     name: str
     scalar: Callable[[np.ndarray, np.ndarray], float]
-    pairwise: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    pairwise: Callable[[_Prepared, _Prepared], np.ndarray]
+    state: Callable[[np.ndarray], tuple] = _no_state
 
 
 INNER_PRODUCT = Kernel("linear", inner_product, _cross_inner)
-DISTANCE_INDUCED = Kernel("distance", distance_induced, _cross_distance)
-SPEARMAN_RANK = Kernel("spearman", spearman, _cross_spearman)
+DISTANCE_INDUCED = Kernel(
+    "distance", distance_induced, _cross_distance, _distance_state
+)
+SPEARMAN_RANK = Kernel("spearman", spearman, _cross_spearman, _rank_state)
 
 BUILTIN_KERNELS = {
     k.name: k for k in (INNER_PRODUCT, DISTANCE_INDUCED, SPEARMAN_RANK)
@@ -259,11 +263,10 @@ DEFAULT_KERNELS = ("linear", "distance", "spearman")
 # Name of the baseline kernel required by the switching rule.
 BASELINE_KERNEL = "linear"
 
-_STATE_FNS = {DISTANCE_INDUCED: _distance_state, SPEARMAN_RANK: _rank_state}
-
 
 def _loop_pairwise(scalar: Callable) -> Callable:
-    def pairwise(X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    def pairwise(X: _Prepared, U: _Prepared) -> np.ndarray:
+        X, U = X.rows, U.rows
         out = np.empty((X.shape[0], U.shape[0]))
         for i in range(X.shape[0]):
             xi = X[i]
@@ -300,52 +303,39 @@ def resolve_kernel(kind) -> Kernel:
 # Matrix evaluation
 # ---------------------------------------------------------------------------
 
-def _as_matrix(A):
+def _prepare(A, kernel) -> _Prepared:
+    """A as an operand of ``kernel``'s cross step, with its per-row state.
+
+    An operand already prepared for the kernel is returned as it is; one
+    prepared for another kernel is prepared again from its rows. Raises
+    ``DimensionMismatch`` unless A is a matrix.
+    """
+    k = resolve_kernel(kernel)
+    if isinstance(A, _Prepared):
+        if A.kernel is k:
+            return A
+        A = A.rows
     # Aligned as well as contiguous: numpy's sum-of-products loop would
     # copy a misaligned operand in chunks of its buffer size and split
     # the sums of rows longer than that.
-    return A if isinstance(A, _Prepared) else np.require(A, np.float64, "CAE")
-
-
-def _as_matrix_pair(X, U) -> tuple:
-    X, U = _as_matrix(X), _as_matrix(U)
-    if X.ndim != 2 or U.ndim != 2:
+    A = np.require(A, np.float64, "CAE")
+    if A.ndim != 2:
         raise DimensionMismatch("kernel matrices must be 2-D")
-    if X.shape[1] != U.shape[1]:
-        raise DimensionMismatch(
-            f"column counts differ: {X.shape[1]} vs {U.shape[1]}"
-        )
-    return X, U
-
-
-def _prepare(A, kernel):
-    """A with the per-row state ``kernel``'s cross step reuses.
-
-    The result stands in for X or U in ``kernel_cross`` and gives bitwise
-    the same matrix. Kernels with no such state (linear, custom) get the
-    plain float64 matrix back.
-    """
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    state_fn = _STATE_FNS.get(resolve_kernel(kernel))
-    if state_fn is None:
-        return A
-    return _Prepared(A, state_fn, state_fn(A))
+    return _Prepared(A, k, k.state(A))
 
 
 def kernel_cross(X, U, kernel) -> np.ndarray:
     """Evaluate kernel(X(i,:), U(j,:)) for all i, j; an (n, K) matrix.
 
     Entries agree bitwise with the scalar kernel for all built-ins. X and
-    U may also be operands from ``_prepare``; one prepared for another
-    kernel is used as its plain rows.
+    U may also be operands from ``_prepare``.
     """
-    X, U = _as_matrix_pair(X, U)
     k = resolve_kernel(kernel)
-    state_fn = _STATE_FNS.get(k)
-    X, U = (
-        A.rows if isinstance(A, _Prepared) and A.state_fn is not state_fn else A
-        for A in (X, U)
-    )
+    X, U = _prepare(X, k), _prepare(U, k)
+    if X.shape[1] != U.shape[1]:
+        raise DimensionMismatch(
+            f"column counts differ: {X.shape[1]} vs {U.shape[1]}"
+        )
     return k.pairwise(X, U)
 
 
@@ -353,12 +343,11 @@ def kernel_gram(X, kernel) -> np.ndarray:
     """Full (n, n) kernel matrix of X against itself.
 
     The inner product uses a BLAS product (the result is still exactly
-    symmetric); other kernels reuse the pairwise evaluator.
+    symmetric); other kernels reuse the pairwise evaluator on X prepared
+    once.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch("kernel_gram expects a 2-D matrix")
     k = resolve_kernel(kernel)
+    X = _prepare(X, k)
     if k is INNER_PRODUCT:
-        return X @ X.T
+        return X.rows @ X.rows.T
     return k.pairwise(X, X)

@@ -186,7 +186,7 @@ def fit(
     ``_prepared`` is private to ``cross_validate``: a mapping from
     candidate Kernel to ``kernels._prepare(dataset.features, kernel)``,
     so the folds of one replicate share one preparation of their common
-    features. An entry prepared from another array is ignored.
+    features.
     """
     _check_switch_threshold(switch_threshold)
     candidates = _candidates(kernels)
@@ -205,11 +205,7 @@ def fit(
     weights = build_weights(dataset.labels, stats)
     class_means = build_U(dataset.features, weights)
     one_hot = weights.one_hot()
-
-    def features(kernel):
-        X = (_prepared or {}).get(kernel)
-        return X if getattr(X, "rows", X) is dataset.features else dataset.features
-
+    prepared = _prepared or {}
     dispatch = sorted(
         range(len(candidates)),
         key=lambda m: _BRANCH_COST_RANK.get(candidates[m], 0),
@@ -217,7 +213,7 @@ def fit(
     dispatched = map_ordered(
         lambda m: _score_kernel(
             candidates[m],
-            features(candidates[m]),
+            prepared.get(candidates[m], dataset.features),
             class_means,
             dataset.labels,
             stats.trn,

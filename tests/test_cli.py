@@ -417,6 +417,17 @@ class TestCv:
         )
         assert res.returncode == 2
 
+    @pytest.mark.parametrize(
+        "methods", ["reference,fast-linear", "fast-linear", "fast-multi"]
+    )
+    def test_unknown_kernel_exits_2_whatever_the_methods(self, capsys, methods):
+        argv = ["cv", "--setting", "uniform-hd", "--n", "50", "--p", "6",
+                "--replicates", "1", "--methods", methods, "--kernels", "bogus"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "unknown kernel 'bogus'" in err
+        assert err.count("\n") == 1
+
     def test_one_class_count_option_for_both_sources(self, tmp_path, monkeypatch):
         """--k and --num-classes set K for a setting and for a CSV file alike."""
         sources = []
@@ -483,3 +494,19 @@ class TestBench:
 def test_version_flag():
     res = run("--version")
     assert res.returncode == 0
+
+
+def test_runtime_leaves_scipy_unimported():
+    """kec runs on numpy alone: scipy links its own BLAS, and calling it
+    right after numpy's stalled every fit on a 2-core machine."""
+    code = (
+        "import sys, numpy as np, kec, kec.cli\n"
+        "x = np.random.default_rng(0).normal(size=(40, 5))\n"
+        "kec.fit(kec.Dataset(x, np.arange(40) % 2 + 1, 2))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

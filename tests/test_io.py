@@ -164,6 +164,24 @@ class TestArtifact:
         with pytest.raises(InvalidParams):
             save_model(tmp_path / "model.json", model)
 
+    @pytest.mark.parametrize("threshold, chosen", [(1e6, "distance"), (0.1, "linear")])
+    def test_custom_kernel_named_like_a_builtin_not_serializable(
+        self, tmp_path, threshold, chosen
+    ):
+        """The file stores names only, so a look-alike would load as the built-in."""
+
+        def distance(x, u):
+            return float(-np.sum((x - u) ** 2))
+
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(0, 1, (30, 3)), rng.normal(0, 3, (30, 3))])
+        ds = Dataset(x, np.r_[np.ones(30, int), np.full(30, 2)], 2)
+        model = fit(ds, ("linear", distance), switch_threshold=threshold)
+        assert model.kernel.name == chosen
+        with pytest.raises(InvalidParams, match="custom kernel 'distance'"):
+            save_model(tmp_path / "model.json", model)
+        assert not (tmp_path / "model.json").exists()
+
     def test_non_finite_threshold_is_not_written(self, tmp_path):
         model = fit(random_dataset(np.random.default_rng(5), 50, 5, 2))
         path = tmp_path / "model.json"
@@ -269,6 +287,27 @@ class TestArtifactValidation:
         doc = self._doc(tmp_path)
         mutate(doc)
         with pytest.raises(error, match=message):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("field", ["num_classes", "num_features"])
+    @pytest.mark.parametrize(
+        "convert",
+        [lambda n: n + 0.5, str, float, bool],
+        ids=["fraction", "string", "float", "bool"],
+    )
+    def test_non_integer_counts_rejected(self, tmp_path, field, convert):
+        """A count must be a JSON integer; none is truncated or converted."""
+        doc = self._doc(tmp_path)
+        doc[field] = convert(doc[field])
+        with pytest.raises(NotFitted, match="incomplete.*JSON integers"):
+            self._load(tmp_path, doc)
+
+    @pytest.mark.parametrize("ids", [["linear", "cosine"], ["linear", 3], ["linear", []]])
+    def test_candidates_must_be_builtin_kernels(self, tmp_path, ids):
+        """The file names its candidates, so each must be a built-in kernel."""
+        doc = self._doc(tmp_path)
+        doc.update(kernel_ids=ids, cross_entropies=[1.0, 2.0])
+        with pytest.raises(InvalidParams, match="not built in"):
             self._load(tmp_path, doc)
 
     def test_non_finite_values_rejected(self, tmp_path):

@@ -1,7 +1,9 @@
 """Property-based invariants of kernels, ranking, the multi-kernel fit, CV,
 CSV and the model artifact."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -300,3 +302,69 @@ def test_artifact_round_trip_is_exact(
     x = np.random.default_rng(seed).normal(0.0, 3.0, size=(17, ds.p))
     for got, want in zip(predict_new(loaded, x), predict_new(model, x)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# One field of one line replaced by each of these, or the line's last field
+# dropped, a "\r" appended to it, or an empty, blank-only or "\r" line put
+# before it; the header is a line like any other.
+_FIELD_MUTANTS = ["", "nan", "inf", "1e400", "1_0", " ", "x", "9" * 30, "-1", "1.5", "1e3"]
+_CSV_MUTATIONS = (
+    [("field", value) for value in _FIELD_MUTANTS]
+    + [("drop", None), ("cr", None)]
+    + [("insert", line) for line in ("", " \t", "\r")]
+)
+
+
+def _mutate_csv(text, mutation, line, field):
+    kind, value = mutation
+    lines = text.splitlines()
+    if kind == "insert":
+        lines.insert(line % (len(lines) + 1), value)
+        return "\n".join(lines) + "\n"
+    i = line % len(lines)
+    fields = lines[i].split(",")
+    if kind == "field":
+        fields[field % len(fields)] = value
+    elif kind == "drop":
+        fields.pop()
+    lines[i] = ",".join(fields) + ("\r" if kind == "cr" else "")
+    return "\n".join(lines) + "\n"
+
+
+def _run_cli(argv):
+    """Exit code and stderr of in-process ``kec`` on ``argv``."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    mutation=st.sampled_from(_CSV_MUTATIONS),
+    line=st.integers(0, 10**6),
+    field=st.integers(0, 10**6),
+)
+def test_mutated_csv_never_crashes_train_or_predict(
+    saved_artifact, tmp_path_factory, mutation, line, field
+):
+    """One line of a dataset changed: train and predict exit 0, 2 or 3.
+
+    Neither raises or writes more than one line to stderr, and a
+    prediction file never holds NaN.
+    """
+    data, text = saved_artifact
+    tmp = tmp_path_factory.mktemp("csv-mutant")
+    csv, model, out = tmp / "data.csv", tmp / "model.json", tmp / "pred.csv"
+    csv.write_bytes(_mutate_csv(data.read_text(), mutation, line, field).encode())
+    model.write_text(text)
+    for argv in (
+        ["train", "--data", str(csv), "--model-out", str(tmp / "trained.json"),
+         "--threads", "1"],
+        ["predict", "--model", str(model), "--data", str(csv), "--out", str(out)],
+    ):
+        code, err = _run_cli(argv)
+        assert code in (0, 2, 3)
+        assert err.count("\n") <= 1, err
+    if code == 0:
+        assert "nan" not in out.read_text().lower()
