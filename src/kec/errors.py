@@ -41,6 +41,10 @@ class NonFiniteFeature(KecError):
     """Feature matrix contains NaN or infinity."""
 
 
+class NumericOverflow(KecError):
+    """A value computed from finite inputs is beyond float64's range."""
+
+
 class SingularCovariance(KecError):
     """Pooled covariance is not positive-definite even after the ridge."""
 

@@ -28,6 +28,7 @@ from .selection import (
     DEFAULT_SWITCH_THRESHOLD,
     _candidates,
     _check_switch_threshold,
+    _finite,
     fit,
 )
 from .simgen import SimSetting, generate
@@ -114,10 +115,13 @@ def _run_fold(method, masked, test_idx, truth, use, threshold, threads, prepared
     assert np.all(masked.labels[test_idx] == 0), "test labels leaked into fit"
     start = time.perf_counter()
     if method == METHOD_REFERENCE:
-        z = embed_reference(masked, BASELINE_KERNEL)
-        trn = np.flatnonzero(masked.labels > 0)
-        model = fit_lda(z[trn], masked.labels[trn], masked.num_classes)
-        predicted = predict(model, z[test_idx])
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = _finite(
+                embed_reference(masked, BASELINE_KERNEL), "the reference embedding"
+            )
+            trn = np.flatnonzero(masked.labels > 0)
+            model = fit_lda(z[trn], masked.labels[trn], masked.num_classes)
+            predicted = predict(model, z[test_idx])
     else:
         model = fit(masked, use, threshold, threads=threads, _prepared=prepared)
         chosen = next(s for s in model.scores if s.model is model.lda)
@@ -142,7 +146,9 @@ def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
     folds = kfold_split(dataset.n, config.folds, fold_seed)
     start = time.perf_counter()
     multi = use[METHOD_FAST_MULTI] if METHOD_FAST_MULTI in config.methods else ()
-    prepared = {k: _prepare(dataset.features, k) for k in multi}
+    # A state that overflows (row norms) is reported by the fit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        prepared = {k: _prepare(dataset.features, k) for k in multi}
     charge = (time.perf_counter() - start) / config.folds
     records = []
     for fold_idx, test_idx in enumerate(folds):
@@ -236,6 +242,14 @@ class ScalingReport:
         return [pt for pt in self.points if pt.path == path]
 
 
+# Busy time spent on each path's first grid point before any timing.
+# After the machine idles, small reference trains (dense BLAS products)
+# run several times slower for about a second of calls, a stall of fixed
+# length rather than of a fixed number of calls, so one untimed call per
+# point cannot absorb it.
+_WARMUP_SECONDS = 1.5
+
+
 def _time_once(fn) -> float:
     start = time.perf_counter()
     fn()
@@ -252,7 +266,9 @@ def bench_scaling(
     """Median train time per grid point and the log-log slope per path.
 
     The grid must be ascending with at least 4 points spanning an 8x
-    range. Datasets are fully labeled; timing covers training only.
+    range. Datasets are fully labeled; timing covers training only. Each
+    grid point is trained once untimed first, and each path's first point
+    until about 1.5 s of training has passed.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 4:
@@ -290,7 +306,9 @@ def bench_scaling(
                 def train():
                     z = embed_reference(dataset, BASELINE_KERNEL)
                     fit_lda(z[trn], dataset.labels[trn], dataset.num_classes)
-            train()  # warmup, untimed
+            warm = _time_once(train)  # untimed
+            while n == n_grid[0] and warm < _WARMUP_SECONDS:
+                warm += _time_once(train)
             med = float(np.median([_time_once(train) for _ in range(runs)]))
             medians.append(med)
             points.append(ScalePoint(path, n, med))

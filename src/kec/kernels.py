@@ -31,8 +31,11 @@ for linear and custom kernels. Each ``Kernel`` owns the function that
 computes that state. An operand used many times (a model's class means, a
 cross-validation replicate's features) is prepared once and passed to
 ``kernel_cross`` as it is; one prepared for another kernel is prepared
-again from its rows. ``kernel_gram`` has no bitwise contract and uses
-BLAS for the inner product.
+again from its rows. State is per row, so ``_Prepared.row_slice`` cuts a
+prepared operand to a block of rows, bitwise equal to preparing that
+block: a fit embeds a replicate's prepared features block by block
+without preparing them again. ``kernel_gram`` has no bitwise contract
+and uses BLAS for the inner product.
 """
 
 from __future__ import annotations
@@ -193,6 +196,15 @@ class _Prepared:
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.rows, dtype=dtype, copy=copy)
+
+    def row_slice(self, rows: slice) -> "_Prepared":
+        """This operand cut to ``rows``, a slice: its rows and every state array.
+
+        State is per row, so the cut equals preparing those rows, bitwise.
+        """
+        return _Prepared(
+            self.rows[rows], self.kernel, tuple(a[rows] for a in self.state)
+        )
 
 
 def _inner(X: np.ndarray, U: np.ndarray) -> np.ndarray:

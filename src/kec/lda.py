@@ -39,6 +39,7 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
     NotFitted,
+    NumericOverflow,
     SingularCovariance,
 )
 
@@ -142,7 +143,8 @@ def fit_lda(Z, y, num_classes: int) -> LdaModel:
     Parameters
     ----------
     Z : (m, d) array
-        Embedding rows of the training samples.
+        Embedding rows of the training samples, all finite. A pooled
+        covariance that overflows float64 raises ``NumericOverflow``.
     y : (m,) array
         Labels in 1..num_classes; every class must be present.
     num_classes : int
@@ -169,6 +171,10 @@ def fit_lda(Z, y, num_classes: int) -> LdaModel:
     centered = Z - means[y - 1]
     pooled = (centered.T @ centered) / (m - k)
     ridge = RIDGE_SCALE * float(np.trace(pooled)) / d
+    if not (np.isfinite(pooled).all() and np.isfinite(ridge)):
+        raise NumericOverflow(
+            "the pooled covariance of the embedding overflowed float64"
+        )
     priors = counts / float(m)
     return LdaModel(means=means, pooled_cov=pooled, priors=priors, ridge=ridge)
 

@@ -42,18 +42,30 @@ def _as_worker(fn):
     return run
 
 
+def fan_out_width(threads: int) -> int:
+    """Threads a ``map_ordered`` call made here with ``threads`` would use.
+
+    That is ``threads`` at the top level and 1 on a fan-out's worker,
+    where a nested call runs inline. A caller that splits its work into
+    items sizes them from this, not from ``threads``.
+    """
+    return 1 if getattr(_worker, "active", False) else max(1, threads)
+
+
 def map_ordered(fn, items, threads: int = 1) -> list:
     """Apply fn to every item, returning results in input order.
 
     The reduction is an ordered collect, so results never depend on the
-    schedule; threads only change wall-clock time. There is one level of
-    fan-out: a call made from inside another call's worker (a fit's
-    kernel branches inside a cross-validation replicate) runs its items
-    inline on that worker's thread, so the busy threads never outnumber
+    schedule; threads only change wall-clock time. Items are taken in
+    input order, so a caller that lists its longest items first keeps
+    the threads busy to the end. There is one level of fan-out: a call
+    made from inside another call's worker (a fit's (kernel, row block)
+    items inside a cross-validation replicate) runs its items inline on
+    that worker's thread, so the busy threads never outnumber
     ``threads`` of the outermost call.
     """
     items = list(items)
-    if threads <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
+    if len(items) <= 1 or fan_out_width(threads) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_as_worker(fn), items))

@@ -7,6 +7,7 @@ import pytest
 
 import kec.cli
 from kec import (
+    Dataset,
     EvalReport,
     fit,
     load_model,
@@ -244,6 +245,25 @@ class TestPredict:
             assert res.returncode == 2
             assert "NaN or infinite" in res.stderr
             assert not out.exists()
+
+    def test_overflowing_rows_exit_2_with_one_line(self, tmp_path):
+        # Finite features whose embedding or discriminant scores overflow
+        # float64: no NaN posteriors, and no warning lines before the error.
+        ds = random_dataset(np.random.default_rng(0), 60, 4, 3, scale=3.0)
+        train, huge = tmp_path / "train.csv", tmp_path / "huge.csv"
+        write_csv(train, ds)
+        write_csv(huge, Dataset(ds.features * 1e200, ds.labels, 3))
+        model, out = tmp_path / "model.json", tmp_path / "pred.csv"
+        res = run("train", "--data", str(train), "--model-out", str(model))
+        assert res.returncode == 0, res.stderr
+        for argv in (
+            ["predict", "--model", str(model), "--data", str(huge), "--out", str(out)],
+            ["train", "--data", str(huge), "--model-out", str(tmp_path / "m.json")],
+        ):
+            res = run(*argv)
+            assert res.returncode == 2
+            assert res.stderr.count("\n") == 1 and "overflowed" in res.stderr
+        assert not out.exists() and not (tmp_path / "m.json").exists()
 
     def test_non_object_model_exits_2(self, tmp_path):
         data = simulate(tmp_path)

@@ -3,7 +3,7 @@ import threading
 import pytest
 
 from kec.errors import InvalidParams
-from kec.parallel import ENV_THREADS, map_ordered, resolve_threads
+from kec.parallel import ENV_THREADS, fan_out_width, map_ordered, resolve_threads
 
 
 def test_explicit_value_wins(monkeypatch):
@@ -63,3 +63,8 @@ def test_top_level_call_fans_out():
     idents = map_ordered(item, range(6), threads=2)
     assert len(set(idents[:2])) == 2
 
+
+
+def test_fan_out_width_is_one_on_a_worker():
+    assert [fan_out_width(t) for t in (1, 2, 3)] == [1, 2, 3]
+    assert map_ordered(lambda t: fan_out_width(t), [2, 3], threads=2) == [1, 1]

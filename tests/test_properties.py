@@ -14,6 +14,7 @@ from scipy.stats import rankdata
 
 import kec.evaluation as evaluation
 from kec import Dataset, fit, predict_new
+from kec.errors import KecError
 from kec.evaluation import EvalConfig, cross_validate, kfold_split
 from kec.cli import main
 from kec.io import load_model, read_csv, save_model, write_csv
@@ -120,6 +121,105 @@ def test_rank_state_matches_rankdata_bitwise(a):
     want = rankdata(a, method="average", axis=-1)
     assert ranks.shape == want.shape and ranks.tobytes() == want.tobytes()
     assert ss.tobytes() == np.sum(c * c, axis=-1).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 12), st.integers(1, 9)),
+        elements=_RANK_VALUES,
+    ),
+    name=st.sampled_from(sorted(BUILTIN_KERNELS)),
+    start=st.integers(0, 12),
+    stop=st.integers(0, 12),
+)
+def test_row_slice_equals_preparing_the_rows(a, name, start, stop):
+    """Cutting a prepared operand to rows equals preparing those rows, bitwise."""
+    rows = slice(start, stop)
+    cut, want = _prepare(a, name).row_slice(rows), _prepare(a[rows], name)
+    assert cut.kernel is want.kernel
+    assert _same_bits(cut.rows, want.rows)
+    assert len(cut.state) == len(want.state)
+    for got, expected in zip(cut.state, want.state):
+        assert _same_bits(got, expected)
+
+
+def tanh_inner(x, u):
+    """A custom kernel, evaluated by the generic per-pair loop."""
+    return float(np.tanh(np.dot(x, u)))
+
+
+def _fit_bits(ds, threads):
+    """Every fitted array of a four-kernel fit, or the error it raised."""
+    try:
+        model = fit(ds, DEFAULT_KERNELS + (tanh_inner,), threads=threads)
+    except KecError as exc:
+        return type(exc), str(exc)
+    return [model.kernel.name, model.cross_entropies.tobytes()] + [
+        a.tobytes()
+        for s in model.scores
+        for a in (s.embedding, s.model.means, s.model.pooled_cov, s.model.priors)
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 3, 5, 97, 2000]),
+    p=st.integers(2, 9),
+    k=st.integers(1, 3),
+    tied=st.booleans(),
+    unlabelled=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=1, p=3, k=1, tied=False, unlabelled=False, seed=0)
+@example(n=2000, p=9, k=3, tied=True, unlabelled=True, seed=1)
+def test_fit_is_bitwise_equal_at_any_thread_count(n, p, k, tied, unlabelled, seed):
+    """Row blocks sized from the thread count never change a bit of the fit.
+
+    Fits too small to succeed must fail the same way at every count.
+    """
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    labels = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, size=n - k)])
+    if unlabelled:
+        labels[k:][rng.random(n - k) < 0.3] = 0
+    X = rng.normal(size=(k, p))[np.maximum(labels, 1) - 1] + rng.normal(size=(n, p))
+    ds = Dataset(np.round(X) if tied else X, labels, k)
+    one = _fit_bits(ds, 1)
+    for threads in (2, 3):
+        assert _fit_bits(ds, threads) == one
+
+
+@settings(max_examples=40, deadline=None)
+@given(s=st.integers(-300, 300), seed=st.integers(0, 2**32 - 1))
+@example(s=200, seed=0)
+@example(s=-300, seed=0)
+def test_scaled_data_gives_finite_posteriors_or_a_kec_error(s, seed):
+    """Features times 10^s: finite posteriors, or a KecError and no warning.
+
+    Covers a fit on the scaled rows, predict_new on them with a model
+    fitted on either scale, and cross-validation of all three methods
+    (reference first: a fold stops at its first error); warnings are
+    errors under this suite.
+    """
+    ds = random_dataset(np.random.default_rng(seed), 60, 4, 3)
+    scaled = Dataset(ds.features * 10.0**s, ds.labels, ds.num_classes)
+    for train in (ds, scaled):
+        try:
+            model = fit(train, threads=2)
+            _, post = predict_new(model, scaled.features)
+        except KecError:
+            continue
+        assert np.isfinite(model.cross_entropies).all()
+        assert np.isfinite(post).all()
+    config = EvalConfig(
+        folds=2, replicates=1, methods=("reference", "fast-linear", "fast-multi")
+    )
+    try:
+        cross_validate(scaled, config)
+    except KecError:
+        pass
 
 
 def _cv_dataset(seed, rank_structured, tied):
@@ -307,7 +407,10 @@ def test_artifact_round_trip_is_exact(
 # One field of one line replaced by each of these, or the line's last field
 # dropped, a "\r" appended to it, or an empty, blank-only or "\r" line put
 # before it; the header is a line like any other.
-_FIELD_MUTANTS = ["", "nan", "inf", "1e400", "1_0", " ", "x", "9" * 30, "-1", "1.5", "1e3"]
+_FIELD_MUTANTS = [
+    "", "nan", "inf", "1e400", "1e200", "-1e200", "1_0", " ", "x", "9" * 30,
+    "-1", "1.5", "1e3",
+]
 _CSV_MUTATIONS = (
     [("field", value) for value in _FIELD_MUTANTS]
     + [("drop", None), ("cr", None)]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from kec.errors import (
 from kec.evaluation import EvalConfig, cross_validate
 from kec.kernels import BUILTIN_KERNELS, _prepare, kernel_cross
 from kec.lda import posterior, predict
+from kec.parallel import map_ordered
 from kec.selection import (
     LOG_CLIP,
     KernelScore,
@@ -223,6 +225,53 @@ class TestFit:
         ds = generate(SimSetting("uniform-hd", n=50, p=8, num_classes=2, seed=6))
         fit(ds)
         assert calls == {"cross": 3, "gram": 0}
+
+    def test_row_blocks_follow_the_threads_the_fan_out_uses(self, monkeypatch):
+        rows = []
+        real_cross = kec.encoder.kernel_cross
+
+        def spy_cross(x, u, kernel):
+            rows.append(np.shape(x)[0])  # list.append is atomic
+            return real_cross(x, u, kernel)
+
+        monkeypatch.setattr(kec.encoder, "kernel_cross", spy_cross)
+        ds = generate(SimSetting("uniform-hd", n=50, p=8, num_classes=2, seed=6))
+        fit(ds, threads=2)
+        assert sorted(rows) == [12] * 6 + [13] * 6  # two blocks per thread
+        rows.clear()
+        # On a worker of an enclosing fan-out the fit runs inline, one
+        # embedding per kernel.
+        map_ordered(lambda _: fit(ds, threads=2), range(2), threads=2)
+        assert rows == [50] * 6
+
+    def test_row_blocks_survive_frequent_thread_switches(self):
+        # Workers write disjoint row blocks of shared embedding matrices;
+        # more workers than cores and a tiny switch interval would expose
+        # a lost or misplaced block as a changed bit.
+        ds = rescaled_pattern_dataset(n=301, p=16, k=3, seed=17)
+        want = [s.embedding.tobytes() for s in fit(ds).scores]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = [s.embedding.tobytes() for s in fit(ds, threads=6).scores]
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_prepared_features_fit_like_the_raw_ones(self, threads):
+        ds = rescaled_pattern_dataset(n=90, p=12, k=3, seed=16)
+        ds = Dataset(np.round(ds.features, 1), ds.labels, ds.num_classes)
+        kernels = [BUILTIN_KERNELS[name] for name in ("linear", "distance", "spearman")]
+        prepared = {k: _prepare(ds.features, k) for k in kernels}
+        plain = fit(ds, kernels, threads=threads)
+        shared = fit(ds, kernels, threads=threads, _prepared=prepared)
+        assert plain.kernel is shared.kernel
+        for a, b in zip(plain.scores, shared.scores):
+            assert a.cross_entropy == b.cross_entropy
+            assert a.embedding.tobytes() == b.embedding.tobytes()
+            assert a.model.pooled_cov.tobytes() == b.model.pooled_cov.tobytes()
 
 
 class TestPredictNew:
