@@ -7,10 +7,16 @@ Three built-in kernels are provided:
   origin-centered distance-to-kernel transform
   k(x, u) = (||x|| + ||u|| - ||x - u||) / 2.
 - ``spearman``: Pearson correlation of average-rank vectors (ties get
-  average ranks; a constant rank vector yields 0 rather than NaN). Ranks
-  come from one unstable argsort per row, O(p log p); the order of tied
-  values inside a run cannot change their average, so no stable sort is
-  needed, and only rows that have ties pay for averaging their runs.
+  average ranks; a constant rank vector yields 0 rather than NaN). Rows
+  are ordered by numpy's value sort, O(p log p), of packed keys: each
+  value's float64 bits with its column written into the low
+  bit_length(p - 1) mantissa bits. A row keeps that order only when the
+  values read back in it are proven ascending: strictly, or
+  non-decreasing with every value finite. Any other row (NaN, +-inf, or
+  values too close for the packed key) is ordered by an unstable argsort.
+  Every ascending order gives the same average ranks, so the path a row
+  took never shows in its ranks, and only rows that have ties pay for
+  averaging their runs.
 
 Each scalar kernel is ``kernel_cross`` on a one-row X and a one-row U, so
 ``kernel_cross(X, U, k)[i, j]`` equals the scalar value bitwise by
@@ -132,23 +138,23 @@ def _rank_state(a) -> tuple:
     centered ranks are a permutation of ``arange(p) - (p-1)/2``. The sums
     equal ``np.sum(c * c, axis=-1)`` bitwise; they are exact, so every
     tie-free row shares one constant and only rows with ties are summed.
-    Rows holding a NaN give NaN in both.
+    Rows holding a NaN give NaN in both. Each row's ascending order comes
+    from ``_ascending_order``; average ranks do not depend on which
+    ascending order is used.
     """
     a = np.asarray(a, dtype=np.float64)
     p = a.shape[-1]
     flat = a.reshape(math.prod(a.shape[:-1]), p)
-    # Flat indices of each row's values in ascending order: one gather
-    # reads the sorted values, one scatter writes the ranks.
-    order = np.argsort(flat, axis=-1)
-    order += np.arange(flat.shape[0])[:, None] * p
-    s = np.take(flat, order)
+    # One scatter through the flat indices of each row's ascending order
+    # writes the ranks.
+    order, s, unstrict = _ascending_order(flat)
     sorted_c = np.arange(p) - (p - 1) / 2.0
     c = np.empty(flat.shape)
     c.reshape(-1)[order] = sorted_c
-    ss = np.full(flat.shape[0], np.sum(sorted_c * sorted_c))
-    # argsort puts NaN last, so a row holds a NaN iff its last sorted value is one.
+    ss = np.full(flat.shape[0], (p**3 - p) / 12)  # sum of sorted_c ** 2
+    # NaN sorts last, so a row holds a NaN iff its last sorted value is one.
     nan_rows = np.isnan(s[:, -1:]).any(axis=-1)
-    tie_rows = np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=-1) & ~nan_rows)
+    tie_rows = unstrict[~nan_rows[unstrict]]
     if tie_rows.size:
         c.reshape(-1)[order[tie_rows]] = _tied_sorted_ranks(s[tie_rows], sorted_c)
         ss[tie_rows] = np.sum(c[tie_rows] ** 2, axis=-1)
@@ -157,6 +163,53 @@ def _rank_state(a) -> tuple:
     c[nan_rows] = np.nan
     ss[nan_rows] = np.nan
     return c.reshape(a.shape), ss.reshape(a.shape[:-1])
+
+
+def _ascending_order(flat) -> tuple:
+    """Flat indices of each row's values in ascending order, and those values.
+
+    Also returns the rows whose sorted values are not strictly ascending:
+    exactly the rows that hold a tie or a NaN.
+
+    With b = bit_length(p - 1), each value's float64 bits have their low b
+    mantissa bits replaced by its column, and the rows of these keys are
+    sorted by value. A row keeps that order only when it is proven: the
+    values gathered in it are strictly ascending (so distinct, and this is
+    the one ascending order), or they are non-decreasing and every value
+    in the row is finite. Any other row, one holding NaN or +-inf or
+    values within 2^b ulps of each other that came out of order, is
+    ordered by an unstable argsort.
+    """
+    m, p = flat.shape
+    b = max(p - 1, 0).bit_length()
+    mask = (1 << b) - 1
+    keys = flat.view(np.int64) & np.int64(~mask)
+    keys |= np.arange(p)
+    keys.view(np.float64).sort(axis=-1)
+    # A key is NaN only for a NaN or an infinite value. A sort may rewrite
+    # a NaN key (numpy's SIMD sorts write back a default NaN), but only to
+    # a NaN whose low bits are zero or another key's, so every column read
+    # back is below p. It may repeat a column, though, and the values
+    # gathered can then look non-decreasing: hence the finiteness rule.
+    order = np.bitwise_and(keys, mask, out=keys)
+    order += np.arange(m)[:, None] * p
+    s = np.take(flat, order)
+    strict = (s[:, 1:] > s[:, :-1]).all(axis=-1)
+    unstrict = np.nonzero(~strict)[0]
+    if unstrict.size:
+        t = s[unstrict]
+        kept = (t[:, 1:] >= t[:, :-1]).all(axis=-1) & np.isfinite(
+            flat[unstrict]
+        ).all(axis=-1)
+        redo = unstrict[~kept]
+        if redo.size:
+            o = np.argsort(flat[redo], axis=-1)
+            o += redo[:, None] * p
+            order[redo] = o
+            s[redo] = redone = np.take(flat, o)
+            strict[redo] = (redone[:, 1:] > redone[:, :-1]).all(axis=-1)
+            unstrict = np.nonzero(~strict)[0]
+    return order, s, unstrict
 
 
 def _tied_sorted_ranks(s, sorted_c) -> np.ndarray:

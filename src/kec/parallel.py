@@ -17,14 +17,20 @@ _worker = threading.local()
 def resolve_threads(threads=None) -> int:
     """Explicit value, else the KEC_THREADS env var, else machine parallelism.
 
-    An explicit or KEC_THREADS count below 1 raises InvalidParams.
+    An explicit or KEC_THREADS count below 1, or a KEC_THREADS value that
+    is not an integer, raises InvalidParams.
     """
     source = "thread count"
     if threads is None:
         env = os.environ.get(ENV_THREADS)
         if not env:
             return os.cpu_count() or 1
-        threads, source = env, ENV_THREADS
+        try:
+            threads, source = int(env), ENV_THREADS
+        except ValueError:
+            raise InvalidParams(
+                f"{ENV_THREADS} must be an integer, got {env!r}"
+            ) from None
     threads = int(threads)
     if threads < 1:
         raise InvalidParams(f"{source} must be at least 1, got {threads}")

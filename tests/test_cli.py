@@ -394,6 +394,17 @@ class TestRejectsInvalidSettings:
         assert ENV_THREADS in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("value", ["abc", "2.5", " "])
+    def test_threads_env_not_an_integer(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv(ENV_THREADS, value)
+        model = tmp_path / "m.json"
+        err = self._exits_2(
+            capsys, "train", "--data", str(self._data(tmp_path)),
+            "--model-out", str(model),
+        )
+        assert err == f"error: {ENV_THREADS} must be an integer, got {value!r}\n"
+        assert not model.exists()
+
 
 class TestCv:
     def test_table_and_records(self, tmp_path):

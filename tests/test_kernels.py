@@ -88,7 +88,7 @@ def _average_ranks(a):
 
 
 class TestAverageRanks:
-    """The argsort-based ranks reproduce scipy's average ranks bitwise."""
+    """Ranks from the packed-key sort or its argsort fallback match scipy's bitwise."""
 
     def _check(self, a, equal_nan=False):
         a = np.asarray(a, dtype=np.float64)

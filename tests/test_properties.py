@@ -21,6 +21,7 @@ from kec.io import load_model, read_csv, save_model, write_csv
 from kec.kernels import (
     BUILTIN_KERNELS,
     DEFAULT_KERNELS,
+    _EXACT_SS_LENGTH,
     _prepare,
     _rank_state,
     kernel_cross,
@@ -120,6 +121,59 @@ def test_rank_state_matches_rankdata_bitwise(a):
     ranks = c + (a.shape[-1] + 1) / 2
     want = rankdata(a, method="average", axis=-1)
     assert ranks.shape == want.shape and ranks.tobytes() == want.tobytes()
+    assert ss.tobytes() == np.sum(c * c, axis=-1).tobytes()
+
+
+_SIGN = np.int64(-(2**63))
+_INF_BITS = np.float64(np.inf).view(np.int64)
+
+
+def _adversarial_bits(rng, m, p):
+    """An (m, p) int64 matrix of float64 bit patterns that are hard to rank.
+
+    Ranking packs each column into the low b = bit_length(p - 1) mantissa
+    bits of its value's sort key, so rows mix runs of neighbouring floats
+    closer than 2^b ulps, signed zeros beside signed subnormals, infinities
+    in column 0 and elsewhere, and NaNs with random payloads and signs
+    (some payloads only in the low b bits), over raw random bit patterns.
+    """
+    b = max(p - 1, 0).bit_length()
+    rows = rng.integers(-(2**63), 2**63, size=(m, p), dtype=np.int64)
+    starts = np.array([1.0, -1.0, 0.0, -0.0, 1e300, -3.5]).view(np.int64)
+    for row in rows:
+        kind = rng.integers(3)
+        if kind == 1:  # a run of neighbours around one start
+            row[:] = rng.choice(starts) + rng.integers(0, 2 ** (b + 1), p)
+        elif kind == 2:  # signed zeros and subnormals, both sides of zero
+            row[:] = rng.integers(0, 4, p) | (rng.integers(0, 2, p) * _SIGN)
+        specials = rng.integers(0, min(p, 6) + 1) if rng.random() < 0.5 else 0
+        cols = rng.choice(p, specials, replace=False)
+        payload = np.where(
+            rng.random(specials) < 0.5,
+            rng.integers(1, 2 ** max(b, 1), specials),
+            rng.integers(1, 2**52, specials),
+        )
+        nan = _INF_BITS | payload | (rng.integers(0, 2, specials) * _SIGN)
+        inf = _INF_BITS | (rng.integers(0, 2, specials) * _SIGN)
+        row[cols] = np.where(rng.random(specials) < 0.5, nan, inf)
+        if rng.random() < 0.2:
+            row[0] = _INF_BITS | (rng.integers(0, 2) * _SIGN)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from([1, 2, 255, 256, 257, 511, 512, 513]),
+    m=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=_EXACT_SS_LENGTH + 1, m=1, seed=3)
+def test_rank_state_on_adversarial_bit_patterns(p, m, seed):
+    """Ranks of rows built from raw bit patterns match rankdata bitwise."""
+    a = _adversarial_bits(np.random.default_rng(seed), m, p).view(np.float64)
+    c, ss = _rank_state(a)
+    ranks = c + (p + 1) / 2
+    assert ranks.tobytes() == rankdata(a, method="average", axis=-1).tobytes()
     assert ss.tobytes() == np.sum(c * c, axis=-1).tobytes()
 
 
