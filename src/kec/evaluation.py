@@ -5,7 +5,12 @@ labels are masked to 0 before the pipeline ever sees them; the held-out
 fold is then scored against the true labels. Errors aggregate over fold
 records (macro over folds, then replicates); timing wraps fit + predict
 only, on a monotonic clock; fast-multi's folds also carry equal shares of
-preparing the replicate's features.
+preparing the replicate's features. When both fast methods run and
+fast-multi's candidates hold the inner product, fast-linear does not fit
+the fold itself: it predicts from that branch of fast-multi's fit and is
+charged the branch's own time (``KernelScore.seconds``) plus its
+prediction, so work the two methods share counts once in each method's
+record.
 
 For a simulation setting, each replicate redraws the dataset; for a fixed
 dataset, replicates only re-split.
@@ -53,6 +58,8 @@ class EvalConfig:
             raise InvalidParams("folds must be at least 2")
         if self.replicates < 1:
             raise InvalidParams("replicates must be at least 1")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise InvalidParams("methods must be non-empty and must not repeat")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise InvalidParams(
@@ -105,30 +112,39 @@ def _std(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1)) if values.size > 1 else 0.0
 
 
-def _run_fold(method, masked, test_idx, truth, use, threshold, threads, prepared):
+def _run_fold(method, masked, test_idx, truth, use, threshold, threads, prepared, lin):
     """Fit on the masked dataset, predict the held-out rows, and time it.
 
-    The fit already embedded the held-out rows, so they are predicted from
+    Returns the error, the seconds and the fit (None for reference). The
+    fit already embedded the held-out rows, so they are predicted from
     the chosen branch's embedding; rows are independent, so this gives
-    the labels ``predict_new`` would.
+    the labels ``predict_new`` would. Given ``lin``, the inner-product
+    branch of fast-multi's fit on this fold, fast-linear does not fit:
+    both fits embed the same masked rows against the same class means, so
+    that branch's LDA and embedding are bitwise a fast-linear fit's. It is
+    charged ``lin.seconds`` plus its own prediction.
     """
     assert np.all(masked.labels[test_idx] == 0), "test labels leaked into fit"
     start = time.perf_counter()
+    model = None
     if method == METHOD_REFERENCE:
         with np.errstate(over="ignore", invalid="ignore"):
             z = _finite(
                 embed_reference(masked, BASELINE_KERNEL), "the reference embedding"
             )
             trn = np.flatnonzero(masked.labels > 0)
-            model = fit_lda(z[trn], masked.labels[trn], masked.num_classes)
-            predicted = predict(model, z[test_idx])
+            lda = fit_lda(z[trn], masked.labels[trn], masked.num_classes)
+            predicted = predict(lda, z[test_idx])
+    elif lin is not None:
+        predicted = predict(lin.model, lin.embedding[test_idx])
+        start -= lin.seconds
     else:
         model = fit(masked, use, threshold, threads=threads, _prepared=prepared)
         chosen = next(s for s in model.scores if s.model is model.lda)
         predicted = predict(model.lda, chosen.embedding[test_idx])
     seconds = time.perf_counter() - start
     error = float(np.mean(predicted != truth[test_idx]))
-    return error, seconds
+    return error, seconds, model
 
 
 def _replicate_seeds(seed, replicate: int) -> tuple:
@@ -144,8 +160,15 @@ def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
         dataset = data
     validate(dataset)
     folds = kfold_split(dataset.n, config.folds, fold_seed)
-    start = time.perf_counter()
     multi = use[METHOD_FAST_MULTI] if METHOD_FAST_MULTI in config.methods else ()
+    # fast-linear reads fast-multi's inner-product branch when there is one,
+    # found by identity: a custom kernel named "linear" is another kernel.
+    derive = METHOD_FAST_LINEAR in config.methods and any(
+        k is INNER_PRODUCT for k in multi
+    )
+    # The fit a derived fast-linear reads runs first; records keep config order.
+    order = sorted(config.methods, key=lambda m: derive and m == METHOD_FAST_LINEAR)
+    start = time.perf_counter()
     # A state that overflows (row norms) is reported by the fit.
     with np.errstate(over="ignore", invalid="ignore"):
         prepared = {k: _prepare(dataset.features, k) for k in multi}
@@ -155,8 +178,13 @@ def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
         masked_labels = dataset.labels.copy()
         masked_labels[test_idx] = 0
         masked = Dataset(dataset.features, masked_labels, dataset.num_classes)
-        for method in config.methods:
-            error, seconds = _run_fold(
+        done, fits = {}, {}
+        for method in order:
+            lin = None
+            if derive and method == METHOD_FAST_LINEAR:
+                branches = fits[METHOD_FAST_MULTI].scores
+                lin = next(s for s in branches if s.kernel is INNER_PRODUCT)
+            error, seconds, fits[method] = _run_fold(
                 method,
                 masked,
                 test_idx,
@@ -165,12 +193,12 @@ def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
                 config.switch_threshold,
                 config.threads,
                 prepared,
+                lin,
             )
             if method == METHOD_FAST_MULTI:
                 seconds += charge
-            records.append(
-                FoldRecord(method, replicate, fold_idx, error, seconds)
-            )
+            done[method] = FoldRecord(method, replicate, fold_idx, error, seconds)
+        records.extend(done[method] for method in config.methods)
     return records
 
 
@@ -187,10 +215,21 @@ def cross_validate(data, config: EvalConfig, kernels=DEFAULT_KERNELS) -> EvalRep
     A replicate's folds share its features, so fast-multi's per-row state
     of them (ranks, row norms) is computed once per replicate and reused
     by every fold's fit; its time is charged in equal shares to
-    fast-multi's folds. fast-linear's kernel keeps no such state. Held-out
-    rows are predicted from the embedding the fit already computed for
-    them. ``kernels`` is resolved whichever methods are configured, so an
-    unknown name raises ``UnknownKernel`` before any replicate runs.
+    fast-multi's folds. Held-out rows are predicted from the embedding the
+    fit already computed for them.
+
+    When both fast methods run and fast-multi's candidates hold the inner
+    product itself (``kernels.INNER_PRODUCT``; a custom kernel named
+    "linear" is another kernel), each fold is fitted once: fast-linear
+    predicts from fast-multi's inner-product branch, whose LDA and
+    embedding are bitwise those a fit of its own would give. Its record's
+    ``seconds`` is that branch's ``KernelScore.seconds`` (the fit's shared
+    set-up, the branch's embedding and its LDA step) plus its prediction,
+    so the shared set-up and the linear branch count in both methods'
+    records. Otherwise fast-linear fits the fold itself. Records keep the
+    configured method order within each fold. ``kernels`` is resolved
+    whichever methods are configured, so an unknown name raises
+    ``UnknownKernel`` before any replicate runs.
     """
     use = {
         METHOD_FAST_LINEAR: (INNER_PRODUCT,),

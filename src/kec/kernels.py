@@ -12,8 +12,9 @@ Three built-in kernels are provided:
   value's float64 bits with its column written into the low
   bit_length(p - 1) mantissa bits. A row keeps that order only when the
   values read back in it are proven ascending: strictly, or
-  non-decreasing with every value finite. Any other row (NaN, +-inf, or
-  values too close for the packed key) is ordered by an unstable argsort.
+  non-decreasing with every value finite. Any other row (+-inf, or
+  values too close for the packed key) is ordered by an unstable argsort;
+  a row holding a NaN has NaN ranks and is not ordered at all.
   Every ascending order gives the same average ranks, so the path a row
   took never shows in its ranks, and only rows that have ties pay for
   averaging their runs.
@@ -169,7 +170,8 @@ def _ascending_order(flat) -> tuple:
     """Flat indices of each row's values in ascending order, and those values.
 
     Also returns the rows whose sorted values are not strictly ascending:
-    exactly the rows that hold a tie or a NaN.
+    exactly the rows that hold a tie or a NaN. A row holding a NaN is not
+    ordered: its indices stay in the row, and its last value is NaN.
 
     With b = bit_length(p - 1), each value's float64 bits have their low b
     mantissa bits replaced by its column, and the rows of these keys are
@@ -178,7 +180,7 @@ def _ascending_order(flat) -> tuple:
     the one ascending order), or they are non-decreasing and every value
     in the row is finite. Any other row, one holding NaN or +-inf or
     values within 2^b ulps of each other that came out of order, is
-    ordered by an unstable argsort.
+    ordered by an unstable argsort, unless it holds a NaN.
     """
     m, p = flat.shape
     b = max(p - 1, 0).bit_length()
@@ -202,6 +204,11 @@ def _ascending_order(flat) -> tuple:
             flat[unstrict]
         ).all(axis=-1)
         redo = unstrict[~kept]
+        # A row holding a NaN has no ranks to order: its last value is set
+        # to NaN, which marks it for the caller, and it skips the argsort.
+        nan = np.isnan(flat[redo]).any(axis=-1)
+        s[redo[nan], -1] = np.nan
+        redo = redo[~nan]
         if redo.size:
             o = np.argsort(flat[redo], axis=-1)
             o += redo[:, None] * p

@@ -12,6 +12,7 @@ argmin over the non-baseline candidates.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,12 +64,17 @@ _BRANCH_COST_RANK = {SPEARMAN_RANK: 1, DISTANCE_INDUCED: 2, INNER_PRODUCT: 3}
 
 @dataclass(frozen=True)
 class KernelScore:
-    """One candidate kernel's fitted branch."""
+    """One candidate kernel's fitted branch.
+
+    ``seconds`` is the time this branch cost its fit (see ``fit``); it is
+    never serialized and takes no part in comparisons.
+    """
 
     kernel: Kernel
     cross_entropy: float
     model: LdaModel
     embedding: np.ndarray
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -174,8 +180,14 @@ def _row_blocks(n: int, width: int) -> list:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _score_kernel(kernel: Kernel, Z, labels, trn, V, num_classes) -> KernelScore:
-    """One kernel's LDA fit, training posteriors and cross-entropy on its embedding Z."""
+def _score_kernel(
+    kernel: Kernel, Z, labels, trn, V, num_classes, spent: float
+) -> KernelScore:
+    """One kernel's LDA fit, training posteriors and cross-entropy on its embedding Z.
+
+    The score's ``seconds`` is ``spent`` plus the time of this step.
+    """
+    start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         _finite(Z, f"the {kernel.name} embedding")
         model = fit_lda(Z[trn], labels[trn], num_classes)
@@ -185,6 +197,7 @@ def _score_kernel(kernel: Kernel, Z, labels, trn, V, num_classes) -> KernelScore
         cross_entropy=cross_entropy(T, V),
         model=model,
         embedding=Z,
+        seconds=spent + (time.perf_counter() - start),
     )
 
 
@@ -221,6 +234,13 @@ def fit(
     contain the inner product, which anchors the switching rule, and
     ``switch_threshold`` must be finite and greater than 0.
 
+    Each ``KernelScore.seconds`` is the time its branch cost, on a
+    monotonic clock: the fit's shared set-up (validation, weights, class
+    means and their preparation), plus the busy time of that kernel's
+    (kernel, row block) embed items, plus its LDA step. It is a sum of
+    work, not a span of wall time, so branches that ran side by side each
+    count their own.
+
     A kernel whose embedding, LDA covariance or posteriors overflow
     float64 fails the whole fit with ``NumericOverflow``: the inner
     product, which every candidate set holds, grows with the square of
@@ -244,6 +264,7 @@ def fit(
             "candidate kernels must include the inner product ('linear')"
         ) from None
 
+    start = time.perf_counter()
     stats = validate(dataset)
     weights = build_weights(dataset.labels, stats)
     one_hot = weights.one_hot()
@@ -252,23 +273,26 @@ def fit(
         means = [_prepare(class_means, k) for k in candidates]
     prepared = _prepared or {}
     embeddings = [np.empty((dataset.n, dataset.num_classes)) for _ in candidates]
+    spent = [time.perf_counter() - start] * len(candidates)
 
     def embed_block(item):
         m, rows = item
+        start = time.perf_counter()
         kernel = candidates[m]
         source = prepared.get(kernel)
         X = dataset.features[rows] if source is None else source.row_slice(rows)
         with np.errstate(over="ignore", invalid="ignore"):
             embeddings[m][rows] = embed(X, means[m], kernel)
+        return time.perf_counter() - start
 
     dispatch = sorted(
         range(len(candidates)),
         key=lambda m: _BRANCH_COST_RANK.get(candidates[m], 0),
     )
     blocks = _row_blocks(dataset.n, fan_out_width(threads))
-    map_ordered(
-        embed_block, [(m, rows) for m in dispatch for rows in blocks], threads=threads
-    )
+    items = [(m, rows) for m in dispatch for rows in blocks]
+    for (m, _), busy in zip(items, map_ordered(embed_block, items, threads=threads)):
+        spent[m] += busy
     scores = map_ordered(
         lambda m: _score_kernel(
             candidates[m],
@@ -277,6 +301,7 @@ def fit(
             stats.trn,
             one_hot,
             dataset.num_classes,
+            spent[m],
         ),
         range(len(candidates)),
         threads=threads,

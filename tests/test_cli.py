@@ -448,6 +448,17 @@ class TestCv:
         )
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("methods", ["reference,reference", "", " , "])
+    def test_empty_or_repeated_methods_exit_2(self, capsys, methods):
+        argv = ["cv", "--setting", "normal-hd", "--n", "100", "--p", "10",
+                "--replicates", "1", "--methods", methods]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: methods must be non-empty and must not repeat\n"
+        )
+
     @pytest.mark.parametrize(
         "methods", ["reference,fast-linear", "fast-linear", "fast-multi"]
     )

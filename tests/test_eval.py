@@ -10,9 +10,15 @@ from kec.evaluation import (
     cross_validate,
     kfold_split,
 )
+from kec.kernels import DEFAULT_KERNELS, INNER_PRODUCT
 from kec.simgen import SimSetting, generate
 
 from helpers import orthant_dataset, random_dataset
+
+
+def linear(x, u):
+    """A custom kernel named like the inner product, but another kernel."""
+    return float(np.dot(x, u))
 
 
 class TestKfold:
@@ -49,6 +55,14 @@ class TestConfig:
     def test_unknown_method(self):
         with pytest.raises(InvalidParams):
             EvalConfig(methods=("fast-linear", "svm"))
+
+    @pytest.mark.parametrize(
+        "methods",
+        [(), ("reference", "reference"), ("fast-linear", "fast-multi", "fast-linear")],
+    )
+    def test_empty_or_repeated_methods(self, methods):
+        with pytest.raises(InvalidParams, match="non-empty and must not repeat"):
+            EvalConfig(methods=methods)
 
 
 class TestCrossValidate:
@@ -125,6 +139,43 @@ class TestCrossValidate:
             assert np.all(masked[test_idx] == 0)
             train_idx = np.setdiff1d(np.arange(40), test_idx)
             assert np.array_equal(masked[train_idx], ds.labels[train_idx])
+
+    @pytest.mark.parametrize(
+        "methods, kernels, per_fold",
+        [
+            (("fast-linear",), DEFAULT_KERNELS, [(1, True)]),
+            (("fast-linear", "fast-multi"), DEFAULT_KERNELS, [(3, True)]),
+            (("fast-multi", "fast-linear"), DEFAULT_KERNELS, [(3, True)]),
+            (("reference", "fast-linear", "fast-multi"), DEFAULT_KERNELS, [(3, True)]),
+            # a custom kernel named "linear" is not the inner product, so
+            # fast-linear fits itself, before fast-multi
+            (
+                ("fast-linear", "fast-multi"),
+                (linear, "distance"),
+                [(1, True), (2, False)],
+            ),
+        ],
+    )
+    def test_one_fit_per_fold_for_the_fast_methods(
+        self, monkeypatch, methods, kernels, per_fold
+    ):
+        """fast-linear reads fast-multi's inner-product branch when it has one."""
+        fits = []
+        real_fit = evaluation.fit
+
+        def spy(dataset, use, *args, **kwargs):
+            fits.append((len(use), use[0] is INNER_PRODUCT))
+            return real_fit(dataset, use, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit", spy)
+        rng = np.random.default_rng(13)
+        ds = random_dataset(rng, 40, 5, 2, scale=2.0)
+        config = EvalConfig(folds=4, replicates=2, seed=14, methods=methods)
+        report = cross_validate(ds, config, kernels)
+        assert fits == per_fold * 4 * 2
+        # records keep config order within each fold
+        assert [r.method for r in report.records] == list(methods) * 4 * 2
+        assert all(np.isfinite(r.seconds) and r.seconds > 0 for r in report.records)
 
     def test_methods_share_folds_and_agree_on_linear_pipelines(self):
         # fast-linear and reference are the same classifier computed two

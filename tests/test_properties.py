@@ -18,6 +18,8 @@ from kec.errors import KecError
 from kec.evaluation import EvalConfig, cross_validate, kfold_split
 from kec.cli import main
 from kec.io import load_model, read_csv, save_model, write_csv
+from kec.lda import fit_lda, predict
+from kec.reference import embed_reference
 from kec.kernels import (
     BUILTIN_KERNELS,
     DEFAULT_KERNELS,
@@ -286,8 +288,8 @@ def _cv_dataset(seed, rank_structured, tied):
     return ds
 
 
-def _reference_records(ds, config):
-    """Plain fit + predict_new on every masked fold, nothing shared."""
+def _reference_records(ds, config, kernels=DEFAULT_KERNELS):
+    """A plain fit and prediction per method on every masked fold, nothing shared."""
     out = []
     for rep in range(config.replicates):
         _, fold_seed = evaluation._replicate_seeds(config.seed, rep)
@@ -296,8 +298,15 @@ def _reference_records(ds, config):
             labels[test_idx] = 0
             masked = Dataset(ds.features, labels, ds.num_classes)
             for method in config.methods:
-                use = ("linear",) if method == "fast-linear" else DEFAULT_KERNELS
-                predicted, _ = predict_new(fit(masked, use), ds.features[test_idx])
+                if method == "reference":
+                    z = embed_reference(masked, "linear")
+                    trn = labels > 0
+                    lda = fit_lda(z[trn], labels[trn], ds.num_classes)
+                    predicted = predict(lda, z[test_idx])
+                else:
+                    use = ("linear",) if method == "fast-linear" else kernels
+                    model = fit(masked, use)
+                    predicted, _ = predict_new(model, ds.features[test_idx])
                 error = float(np.mean(predicted != ds.labels[test_idx]))
                 out.append((method, rep, f, error))
     return out
@@ -307,25 +316,54 @@ def _records(report):
     return [(r.method, r.replicate, r.fold, r.error) for r in report.records]
 
 
-@settings(max_examples=10, deadline=None)
+def linear(x, u):
+    """A custom kernel named like the inner product, but another kernel."""
+    return float(np.dot(np.tanh(x), np.tanh(u)))
+
+
+# (methods, fast-multi candidates): fast-linear alone, derived from
+# fast-multi in either order or beside reference, from a candidate list
+# naming the inner product twice, and fitting itself when the "linear"
+# candidate is a custom callable.
+_CV_CASES = [
+    (("fast-linear",), DEFAULT_KERNELS),
+    (("fast-linear", "fast-multi"), DEFAULT_KERNELS),
+    (("fast-multi", "fast-linear"), DEFAULT_KERNELS),
+    (("reference", "fast-linear", "fast-multi"), DEFAULT_KERNELS),
+    (("fast-linear", "fast-multi"), ("linear", "spearman", "linear")),
+    (("fast-multi", "fast-linear"), (linear, "distance")),
+]
+
+
+@settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     rank_structured=st.booleans(),
     tied=st.booleans(),
     folds=st.integers(2, 4),
+    case=st.sampled_from(_CV_CASES),
 )
+# Every case runs at least once, whatever is drawn.
+@example(seed=1, rank_structured=False, tied=False, folds=2, case=_CV_CASES[0])
+@example(seed=2, rank_structured=True, tied=False, folds=3, case=_CV_CASES[1])
+@example(seed=3, rank_structured=False, tied=True, folds=4, case=_CV_CASES[2])
+@example(seed=4, rank_structured=True, tied=True, folds=2, case=_CV_CASES[3])
+@example(seed=5, rank_structured=True, tied=False, folds=3, case=_CV_CASES[4])
+@example(seed=6, rank_structured=False, tied=True, folds=2, case=_CV_CASES[5])
 def test_cross_validate_matches_plain_fits_at_any_thread_count(
-    seed, rank_structured, tied, folds
+    seed, rank_structured, tied, folds, case
 ):
-    """Shared preparation and embedding reuse change no fold record."""
+    """Shared preparation, embedding reuse and a fast-linear read from
+    fast-multi's fit change no fold record."""
+    methods, kernels = case
     ds = _cv_dataset(seed, rank_structured, tied)
-    base = dict(
-        folds=folds, replicates=2, seed=seed, methods=("fast-linear", "fast-multi")
-    )
-    one = _records(cross_validate(ds, EvalConfig(threads=1, **base)))
-    two = _records(cross_validate(ds, EvalConfig(threads=2, **base)))
-    assert one == two
-    assert one == _reference_records(ds, EvalConfig(**base))
+    base = dict(folds=folds, replicates=2, seed=seed, methods=methods)
+    one = cross_validate(ds, EvalConfig(threads=1, **base), kernels)
+    two = cross_validate(ds, EvalConfig(threads=2, **base), kernels)
+    assert _records(one) == _records(two)
+    assert _records(one) == _reference_records(ds, EvalConfig(**base), kernels)
+    for report in (one, two):
+        assert all(np.isfinite(r.seconds) and r.seconds > 0 for r in report.records)
 
 
 @settings(max_examples=15, deadline=None)
