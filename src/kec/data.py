@@ -102,6 +102,11 @@ def validate(dataset: Dataset) -> ClassStats:
     """
     if not np.isfinite(dataset.features).all():
         raise NonFiniteFeature("features contain NaN or infinite values")
+    return _label_stats(dataset)
+
+
+def _label_stats(dataset: Dataset) -> ClassStats:
+    """``validate`` for features already checked finite: the label checks alone."""
     trn = np.flatnonzero(dataset.labels > 0)
     if trn.size == 0:
         raise EmptyTrainingSet("all labels are 0; no training samples")

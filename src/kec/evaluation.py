@@ -158,6 +158,7 @@ def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
         dataset = generate(data.with_seed(data_seed))
     else:
         dataset = data
+    # The only finiteness check of these features: fold fits check labels.
     validate(dataset)
     folds = kfold_split(dataset.n, config.folds, fold_seed)
     multi = use[METHOD_FAST_MULTI] if METHOD_FAST_MULTI in config.methods else ()

@@ -23,25 +23,43 @@ Each scalar kernel is ``kernel_cross`` on a one-row X and a one-row U, so
 ``kernel_cross(X, U, k)[i, j]`` equals the scalar value bitwise by
 construction. The cross step is numpy's own C sum-of-products loop,
 ``np.einsum`` with ``optimize=False``: the products of x and u for
-linear, of their centered ranks for spearman, and of the difference
-x - u with itself for distance. That loop sums each entry over the
-trailing axis in an order that depends on p alone, so a row's value
-never depends on which other rows share its call. No BLAS is involved:
-a BLAS matrix product's accumulation order depends on the shape of the
-call. The cost is O(nKp).
+linear and distance, and of their centered ranks for spearman. That loop
+sums each entry over the trailing axis in an order that depends on p
+alone, so a row's value never depends on which other rows share its
+call. No BLAS is involved: a BLAS matrix product's accumulation order
+depends on the shape of the call. The cost is O(nKp).
+
+Distance takes the squared distance s = ||x - u||^2 from the expansion
+S - 2 x.u, with S = ||x||^2 + ||u||^2 from the squared row norms that
+``_prepare`` computes beside the norms. Each of its three p-term sums is
+within p eps times the sum of its terms' magnitudes, in any order (eps =
+2^-53), and those magnitudes sum to at most S/2 for x.u; so, to first
+order in eps, the computed value s' obeys
+
+    |s' - s| <= (2p + 1) eps S + eps s.
+
+Where s is small against S the first term is cancellation, so an entry
+keeps s' only when s' > T S, with T = (2p + 1) 2^-27: then its relative
+error is at most 2^-26 + eps (half of float64's significand survives)
+and the distance's at most about 2^-27. Any other entry (s' <= T S, or
+s' not finite: a NaN operand, or S past float64's range) is computed
+from x - u, bitwise as the sums of a (rows, K, p) difference buffer.
+The choice reads only x and u, so an entry never depends on the other
+rows or class means of its call; a kept entry has finite norms and a
+finite positive s', so the expansion never yields NaN or +-inf.
 
 Every cross step takes two operands from ``_prepare``, the one place
 where an operand is converted to an aligned, C-contiguous float64 matrix,
-checked to be 2-D and given its kernel's per-row state: row norms for
-distance, centered ranks and their sums of squares for spearman, nothing
-for linear and custom kernels. Each ``Kernel`` owns the function that
-computes that state. An operand used many times (a model's class means, a
-cross-validation replicate's features) is prepared once and passed to
-``kernel_cross`` as it is; one prepared for another kernel is prepared
-again from its rows. State is per row, so ``_Prepared.row_slice`` cuts a
-prepared operand to a block of rows, bitwise equal to preparing that
-block: a fit embeds a replicate's prepared features block by block
-without preparing them again. ``kernel_gram`` has no bitwise contract
+checked to be 2-D and given its kernel's per-row state: row norms and
+their squares for distance, centered ranks and their sums of squares
+for spearman, nothing for linear and custom kernels. Each ``Kernel``
+owns the function that computes that state. An operand used many times
+(a model's class means, a cross-validation replicate's features) is
+prepared once and passed to ``kernel_cross`` as it is; one prepared for
+another kernel is prepared again from its rows. State is per row, so
+``_Prepared.row_slice`` cuts a prepared operand to a block of rows,
+bitwise equal to preparing that block: a fit embeds a replicate's
+prepared features block by block without preparing them again. ``kernel_gram`` has no bitwise contract
 and uses BLAS for the inner product.
 """
 
@@ -59,7 +77,7 @@ from .errors import DegenerateLength, DimensionMismatch, UnknownKernel
 # artifact; ``load_model`` rejects an artifact that names another one.
 DISTANCE_TRANSFORM = "origin-centered"
 
-# Cap on the (rows, K, p) difference buffer of the distance cross step,
+# Cap on the difference buffer of the distance rows computed from x - u,
 # in elements: 512 KiB stays in cache between its write and its read.
 _CHUNK_ELEMS = 1 << 16
 
@@ -104,10 +122,6 @@ def spearman(x, u) -> float:
 # Pairwise (n x K) evaluators, same per-entry arithmetic as the scalars
 # ---------------------------------------------------------------------------
 
-def _row_step(n: int, num_reps: int, p: int) -> int:
-    return max(1, min(n, _CHUNK_ELEMS // max(1, num_reps * p)))
-
-
 # Per-row state of an operand that a cross step needs besides its rows;
 # ``_prepare`` computes it once per operand with its kernel's ``state``.
 
@@ -115,13 +129,10 @@ def _no_state(A: np.ndarray) -> tuple:
     return ()
 
 
-def _sq_norm(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm along the trailing axis via an explicit square-sum."""
-    return np.sqrt(np.sum(v * v, axis=-1))
-
-
 def _distance_state(A: np.ndarray) -> tuple:
-    return (_sq_norm(A),)
+    """Row norms along the trailing axis, and their squares (explicit square-sums)."""
+    sq = np.sum(A * A, axis=-1)
+    return np.sqrt(sq), sq
 
 
 # Centered average ranks are multiples of 1/2, so their squares are
@@ -276,20 +287,60 @@ def _cross_inner(X: _Prepared, U: _Prepared) -> np.ndarray:
     return _inner(X.rows, U.rows)
 
 
-def _cross_distance(X: _Prepared, U: _Prepared) -> np.ndarray:
-    (nx,), (nu,) = X.state, U.state
-    X, U = X.rows, U.rows
+def _direct_sq_distances(X, U, direct, out) -> None:
+    """out[i, j] = sum_s (X[i, s] - U[j, s])^2 where ``direct[i, j]``, from x - u.
+
+    In each block of rows that holds such an entry every entry is
+    computed, one class mean at a time through a (rows, p) difference
+    buffer of at most ``_CHUNK_ELEMS`` elements, and the ``direct`` ones
+    are written. Each is the same einsum sum over its p products as in a
+    (rows, K, p) buffer with K > 1, so bitwise equal to it, whatever the
+    rows of the call.
+    """
+    if not direct.any():
+        return
     n, p = X.shape
-    k = U.shape[0]
-    out = np.empty((n, k))
-    step = _row_step(n, k, p)
-    d = np.empty((step, k, p))
-    for s in range(0, n, step):
-        c = min(step, n - s)
-        np.subtract(X[s : s + c, None, :], U[None, :, :], out=d[:c])
-        np.einsum("ikp,ikp->ik", d[:c], d[:c], out=out[s : s + c], optimize=False)
-    np.sqrt(out, out=out)
-    return (nx[:, None] + nu[None, :] - out) / 2.0
+    step = max(1, min(n, _CHUNK_ELEMS // max(1, p)))
+    d, sums = np.empty((step, p)), np.empty((max(step, 2), U.shape[0]))
+    for lo in range(0, n, step):
+        c = min(step, n - lo)
+        if direct[lo : lo + c].any():
+            for j, u in enumerate(U):
+                np.subtract(X[lo : lo + c], u, out=d[:c])
+                # numpy splits a one-row sum into blocks of its 8192-element
+                # buffer; a stride-0 second row keeps it whole, as for c > 1.
+                v = d[:c] if c > 1 else np.broadcast_to(d[:1], (2, p))
+                np.einsum("ip,ip->i", v, v, out=sums[: len(v), j], optimize=False)
+            np.copyto(out[lo : lo + c], sums[:c], where=direct[lo : lo + c])
+
+
+def _sq_distances(X: _Prepared, U: _Prepared) -> np.ndarray:
+    """Squared Euclidean distances of X's rows to U's rows; an (n, K) matrix.
+
+    Through the expansion ||x||^2 + ||u||^2 - 2 x.u, except that an entry
+    not above T (||x||^2 + ||u||^2), or not finite, is computed from x - u
+    (see the module docstring).
+    """
+    (_, sx), (_, su) = X.state, U.state
+    X, U = X.rows, U.rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = sx[:, None] + su[None, :]
+        sq = _inner(X, U)
+        sq *= -2.0
+        sq += scale
+        scale *= (2 * X.shape[1] + 1) * 2.0**-27  # T (module docstring)
+        kept = sq > scale
+        kept &= sq < np.inf
+    del scale
+    _direct_sq_distances(X, U, ~kept, sq)
+    return sq
+
+
+def _cross_distance(X: _Prepared, U: _Prepared) -> np.ndarray:
+    (nx, _), (nu, _) = X.state, U.state
+    d = _sq_distances(X, U)
+    np.sqrt(d, out=d)
+    return (nx[:, None] + nu[None, :] - d) / 2.0
 
 
 def _cross_spearman(X: _Prepared, U: _Prepared) -> np.ndarray:
@@ -416,7 +467,7 @@ def kernel_gram(X, kernel) -> np.ndarray:
 
     The inner product uses a BLAS product (the result is still exactly
     symmetric); other kernels reuse the pairwise evaluator on X prepared
-    once.
+    once. Its distance diagonal, where s = 0, is computed from x - u.
     """
     k = resolve_kernel(kernel)
     X = _prepare(X, k)

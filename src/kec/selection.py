@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, validate
+from .data import Dataset, _label_stats, validate
 from .encoder import build_U, build_weights, embed
 from .errors import (
     DimensionMismatch,
@@ -249,7 +249,9 @@ def fit(
     ``_prepared`` is private to ``cross_validate``: a mapping from
     candidate Kernel to ``kernels._prepare(dataset.features, kernel)``,
     so the folds of one replicate share one preparation of their common
-    features. Its items are cut to each block with ``row_slice``.
+    features. Its items are cut to each block with ``row_slice``. The
+    replicate has checked those features finite, so a fit given
+    ``_prepared`` checks only its labels.
     """
     _check_switch_threshold(switch_threshold)
     candidates = _candidates(kernels)
@@ -265,7 +267,8 @@ def fit(
         ) from None
 
     start = time.perf_counter()
-    stats = validate(dataset)
+    # Features that come prepared were checked finite with them.
+    stats = validate(dataset) if _prepared is None else _label_stats(dataset)
     weights = build_weights(dataset.labels, stats)
     one_hot = weights.one_hot()
     with np.errstate(over="ignore", invalid="ignore"):

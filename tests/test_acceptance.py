@@ -6,6 +6,7 @@ run time.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -14,7 +15,7 @@ from kec import Dataset, fit, predict_new, validate
 from kec.encoder import build_U, build_weights, embed
 from kec.evaluation import EvalConfig, bench_scaling, cross_validate, kfold_split
 from kec.io import load_model, read_csv, save_model, write_csv
-from kec.kernels import BUILTIN_KERNELS, kernel_cross, kernel_gram
+from kec.kernels import BUILTIN_KERNELS, _prepare, kernel_cross, kernel_gram
 from kec.lda import posterior
 from kec.reference import embed_reference
 from kec.selection import cross_entropy
@@ -296,3 +297,51 @@ def test_c8_property_battery(tmp_path):
 
     failing = [name for name, ok in checks.items() if not ok]
     _report(8, "property suites", not failing, f"failing: {failing or 'none'}")
+
+
+def _peak_bytes(run) -> int:
+    """Peak bytes that numpy and Python allocate while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _slope(ns, values) -> float:
+    return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
+
+
+def test_c9_no_n_by_n_matrix():
+    """A three-kernel fit allocates O(np) bytes; the reference's Gram is O(n^2).
+
+    tracemalloc counts allocations, not time, so no clock enters. A 1e9
+    offset sends every distance entry to the x - u path, which must stay
+    within the same bounds: a fit's peak may not exceed 4 n p 8 bytes, and
+    the distance cross step of the n prepared offset rows, chunked, may
+    not allocate half of their own n p 8 bytes.
+    """
+    start = time.perf_counter()
+    ns = [500, 1000, 2000, 4000]
+    p = 100
+    fast, offset, ref = [], [], []
+    for n in ns:
+        ds = generate(SimSetting("normal-hd", n=n, p=p, num_classes=5, seed=0))
+        shifted = Dataset(ds.features + 1e9, ds.labels, ds.num_classes)
+        fast.append(_peak_bytes(lambda: fit(ds, threads=2)))
+        offset.append(_peak_bytes(lambda: fit(shifted, threads=2)))
+        ref.append(_peak_bytes(lambda: embed_reference(ds, "linear")))
+    X, U = (_prepare(a, "distance") for a in (shifted.features, shifted.features[:5]))
+    cross = _peak_bytes(lambda: kernel_cross(X, U, "distance")) / (ns[-1] * p * 8)
+    elapsed = time.perf_counter() - start
+    slopes = [_slope(ns, v) for v in (fast, offset, ref)]
+    worst = max(b / (n * p * 8) for v in (fast, offset) for n, b in zip(ns, v))
+    _report(
+        9,
+        "no n x n matrix",
+        max(slopes[:2]) <= 1.3 and slopes[2] >= 1.8 and worst <= 4.0 and cross < 0.5,
+        f"peak slopes fast {slopes[0]:.2f}, offset {slopes[1]:.2f}, reference "
+        f"{slopes[2]:.2f}; largest fast peak {worst:.2f} n p 8 bytes, offset "
+        f"cross step {cross:.2f}; {elapsed:.1f}s",
+    )

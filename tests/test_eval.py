@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 import kec.evaluation as evaluation
+import kec.selection as selection
 from kec import Dataset
-from kec.errors import InsufficientGrid, InvalidParams, TooFewSamples
+from kec.errors import (
+    InsufficientGrid,
+    InvalidParams,
+    NonFiniteFeature,
+    TooFewSamples,
+)
 from kec.evaluation import (
     EvalConfig,
     bench_scaling,
@@ -176,6 +182,31 @@ class TestCrossValidate:
         # records keep config order within each fold
         assert [r.method for r in report.records] == list(methods) * 4 * 2
         assert all(np.isfinite(r.seconds) and r.seconds > 0 for r in report.records)
+
+    @pytest.mark.parametrize(
+        "methods", [("fast-multi", "fast-linear"), ("fast-linear",)]
+    )
+    def test_features_checked_once_per_replicate(self, monkeypatch, methods):
+        """Fold fits check their labels only; the replicate checked the features."""
+        calls = []
+
+        def counting(site, real):
+            def validate(dataset):
+                calls.append(site)
+                return real(dataset)
+
+            return validate
+
+        for mod in (evaluation, selection):
+            monkeypatch.setattr(mod, "validate", counting(mod.__name__, mod.validate))
+        ds = random_dataset(np.random.default_rng(18), 40, 5, 2, scale=2.0)
+        config = EvalConfig(folds=4, replicates=3, seed=19, methods=methods)
+        cross_validate(ds, config)
+        assert calls == ["kec.evaluation"] * 3
+        features = ds.features.copy()
+        features[5, 1] = np.nan
+        with pytest.raises(NonFiniteFeature):
+            cross_validate(Dataset(features, ds.labels, 2), config)
 
     def test_methods_share_folds_and_agree_on_linear_pipelines(self):
         # fast-linear and reference are the same classifier computed two

@@ -182,11 +182,16 @@ class TestKernelCross:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(23, 11))
         u = rng.normal(size=(4, 11))
-        out = kernel_cross(x, u, name)
-        scalar = BUILTIN_KERNELS[name].scalar
-        for i in range(23):
-            for j in range(4):
-                assert out[i, j] == scalar(x[i], u[j])
+        # distance computes every entry of the offset data from x - u, and
+        # of the mixed data the entries of rows equal to a class mean
+        mixed = x.copy()
+        mixed[[1, 2, 9, 15, 16, 17, 20]] = u[[0, 3, 1, 0, 0, 3, 2]]
+        for a, b in ((x, u), (x + 1e9, u + 1e9), (mixed, u)):
+            out = kernel_cross(a, b, name)
+            scalar = BUILTIN_KERNELS[name].scalar
+            for i in range(23):
+                for j in range(4):
+                    assert out[i, j] == scalar(a[i], b[j])
 
     def test_column_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -3,6 +3,8 @@ CSV and the model artifact."""
 
 import io
 import json
+import math
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -26,6 +28,7 @@ from kec.kernels import (
     _EXACT_SS_LENGTH,
     _prepare,
     _rank_state,
+    _sq_distances,
     kernel_cross,
 )
 
@@ -100,6 +103,101 @@ def test_cross_rows_do_not_depend_on_the_call(name, p, n, k, tied, seed):
     assert _same_bits(kernel_cross(PX, PU, name), full)
     assert _same_bits(kernel_cross(X[1:], PU, name), full[1:])
     assert _same_bits(kernel_cross(PX, U[k // 2 :], name), full[:, k // 2 :])
+
+
+def _direct_distance(X, U):
+    """Squared distances and distance kernel values from x - u for every entry.
+
+    The form before the expansion: a (rows, K, p) difference buffer summed
+    by numpy's einsum loop.
+    """
+    d = X[:, None, :] - U[None, :, :]
+    sq = np.einsum("ikp,ikp->ik", d, d, optimize=False)
+    nx, nu = np.sqrt(np.sum(X * X, axis=-1)), np.sqrt(np.sum(U * U, axis=-1))
+    return sq, (nx[:, None] + nu[None, :] - np.sqrt(sq)) / 2.0
+
+
+def _fsum_of_squares(v) -> float:
+    """sum v_s^2 rounded once from the rounded squares; inf past float64's range."""
+    try:
+        return math.fsum(v * v)
+    except OverflowError:
+        return math.inf
+
+
+def _cancellation_operands(case, n, p, k, rng):
+    X = rng.normal(size=(n, p))
+    U = rng.normal(size=(k, p))
+    near = rng.integers(0, n, size=k)
+    if case == "near":
+        # u = x + delta, relative delta 1e-1 .. 1e-7: squared distances on
+        # both sides of T S, and some right at it
+        delta = 10.0 ** -rng.uniform(1, 7, size=(k, 1))
+        U[::2] = (X[near] * (1 + delta * rng.normal(size=(k, p))))[::2]
+    elif case == "equal":
+        U[::2] = X[near][::2]
+        X[-1] = U[0] = 0.0
+    elif case == "offset":
+        shift = 1e9 * rng.uniform(1, 2, size=p)
+        X, U = X + shift, U + shift
+    else:  # "huge": ||x||^2 and ||u||^2 near 0.6 of float64's range, so S overflows
+        X *= np.sqrt(0.6 * np.finfo(float).max) / np.linalg.norm(X, axis=1, keepdims=True)
+        U = X[near] * (1 + 1e-3 * rng.normal(size=(k, p)))
+    return X, U
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.sampled_from(["near", "equal", "offset", "huge"]),
+    p=st.integers(1, 64),
+    n=st.integers(1, 8),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case="near", p=40, n=8, k=4, seed=0)
+@example(case="equal", p=7, n=5, k=3, seed=1)
+@example(case="offset", p=30, n=6, k=2, seed=2)
+@example(case="huge", p=64, n=4, k=3, seed=3)
+@example(case="offset", p=9000, n=3, k=2, seed=4)
+def test_distance_cancellation_path(case, p, n, k, seed):
+    """Distance entries near cancellation equal the x - u form; the rest keep its bound.
+
+    An entry the expansion keeps is within (2p + 1) eps S + eps s of the
+    fsum reference s, plus the reference's own 4 eps s and an eps s for
+    second-order terms. An entry at s <= T S / 2, or with S past
+    float64's range, is the x - u form bitwise. Every squared distance is
+    the same in a one-row or one-column call (p = 9000 is past numpy's
+    8192-element buffer), every entry equals the scalar kernel bitwise,
+    no warning is raised, and no entry that the x - u form has finite
+    turns NaN or infinite.
+    """
+    X, U = _cancellation_operands(case, n, p, k, np.random.default_rng(seed))
+    PX, PU = _prepare(X, "distance"), _prepare(U, "distance")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sq = _sq_distances(PX, PU)
+        out = kernel_cross(X, U, "distance")
+        scalar = [[BUILTIN_KERNELS["distance"].scalar(x, u) for u in U] for x in X]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_sq, want = _direct_distance(X, U)
+        S = PX.state[1][:, None] + PU.state[1][None, :]
+        ref = np.array([[_fsum_of_squares(x - u) for u in U] for x in X])
+    eps, T = 2.0**-53, (2 * p + 1) * 2.0**-27
+    direct = sq.view(np.int64) == want_sq.view(np.int64)
+    assert _same_bits(out[direct], want[direct])
+    must = ~np.isfinite(S) | (ref <= T * S / 2)
+    assert np.all(direct[must])
+    kept = ~direct
+    bound = (2 * p + 1) * eps * S[kept] + 6 * eps * ref[kept]
+    assert np.all(np.abs(sq[kept] - ref[kept]) <= bound)
+    if case in ("offset", "huge"):
+        assert direct.all()
+    for i in range(n):
+        assert _same_bits(_sq_distances(PX.row_slice(slice(i, i + 1)), PU), sq[i : i + 1])
+    for j in range(k):
+        assert _same_bits(_sq_distances(PX, PU.row_slice(slice(j, j + 1))), sq[:, j : j + 1])
+    assert _same_bits(out, np.array(scalar).reshape(n, k))
+    assert np.all(np.isfinite(out[np.isfinite(want)]))
 
 
 # A small alphabet makes ties common; NaN, infinities and signed zeros

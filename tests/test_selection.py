@@ -273,6 +273,14 @@ class TestFit:
             assert a.embedding.tobytes() == b.embedding.tobytes()
             assert a.model.pooled_cov.tobytes() == b.model.pooled_cov.tobytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, value):
+        ds = random_dataset(np.random.default_rng(17), 30, 4, 2)
+        features = ds.features.copy()
+        features[7, 2] = value
+        with pytest.raises(NonFiniteFeature):
+            fit(Dataset(features, ds.labels, 2))
+
 
 class TestPredictNew:
     def test_class_means_map_to_their_classes(self):
