@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, validate
 from .errors import InvalidParams, InsufficientGrid, TooFewSamples
 from .kernels import BASELINE_KERNEL, DEFAULT_KERNELS, INNER_PRODUCT, _prepare
-from .lda import fit_lda, predict
+from .lda import fit_lda, posterior
 from .parallel import map_ordered
 from .reference import embed_reference
 from .selection import (
@@ -112,6 +112,18 @@ def _std(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1)) if values.size > 1 else 0.0
 
 
+def _predict_held_out(lda, z, what: str) -> np.ndarray:
+    """Labels of held-out rows from their posteriors, checked finite.
+
+    A fit scores only its training rows, so this is the one check on the
+    held-out rows' posteriors: one that overflowed float64 raises
+    ``NumericOverflow`` rather than reaching a fold record.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        post = _finite(posterior(lda, z), f"the {what} posteriors of held-out rows")
+    return np.argmax(post, axis=1) + 1
+
+
 def _run_fold(method, masked, test_idx, truth, use, threshold, threads, prepared, lin):
     """Fit on the masked dataset, predict the held-out rows, and time it.
 
@@ -122,7 +134,8 @@ def _run_fold(method, masked, test_idx, truth, use, threshold, threads, prepared
     branch of fast-multi's fit on this fold, fast-linear does not fit:
     both fits embed the same masked rows against the same class means, so
     that branch's LDA and embedding are bitwise a fast-linear fit's. It is
-    charged ``lin.seconds`` plus its own prediction.
+    charged ``lin.seconds`` plus its own prediction. A held-out posterior
+    that is not finite raises ``NumericOverflow``.
     """
     assert np.all(masked.labels[test_idx] == 0), "test labels leaked into fit"
     start = time.perf_counter()
@@ -134,14 +147,16 @@ def _run_fold(method, masked, test_idx, truth, use, threshold, threads, prepared
             )
             trn = np.flatnonzero(masked.labels > 0)
             lda = fit_lda(z[trn], masked.labels[trn], masked.num_classes)
-            predicted = predict(lda, z[test_idx])
+        predicted = _predict_held_out(lda, z[test_idx], "reference")
     elif lin is not None:
-        predicted = predict(lin.model, lin.embedding[test_idx])
+        predicted = _predict_held_out(lin.model, lin.embedding[test_idx], "linear")
         start -= lin.seconds
     else:
         model = fit(masked, use, threshold, threads=threads, _prepared=prepared)
         chosen = next(s for s in model.scores if s.model is model.lda)
-        predicted = predict(model.lda, chosen.embedding[test_idx])
+        predicted = _predict_held_out(
+            model.lda, chosen.embedding[test_idx], model.kernel.name
+        )
     seconds = time.perf_counter() - start
     error = float(np.mean(predicted != truth[test_idx]))
     return error, seconds, model

@@ -280,6 +280,12 @@ class _Prepared:
 
 def _inner(X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """out[i, j] = sum_s X[i, s] * U[j, s], in an order set by p alone."""
+    if X.shape[0] == 1 == U.shape[0]:
+        # numpy runs a one-entry product as a 1-D reduction, split into
+        # blocks of its 8192-element buffer; a stride-0 second row keeps the
+        # sum whole, as in every larger call.
+        X = np.broadcast_to(X, (2, X.shape[1]))
+        return np.einsum("ij,kj->ik", X, U, optimize=False)[:1]
     return np.einsum("ij,kj->ik", X, U, optimize=False)
 
 

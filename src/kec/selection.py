@@ -185,16 +185,19 @@ def _score_kernel(
 ) -> KernelScore:
     """One kernel's LDA fit, training posteriors and cross-entropy on its embedding Z.
 
+    Only the training rows ``trn`` are fitted and scored: the cross-entropy
+    reads no other row, and a row's posterior does not depend on its batch.
     The score's ``seconds`` is ``spent`` plus the time of this step.
     """
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         _finite(Z, f"the {kernel.name} embedding")
-        model = fit_lda(Z[trn], labels[trn], num_classes)
-        T = _finite(posterior(model, Z), f"the {kernel.name} discriminant scores")
+        Z_trn = Z[trn]
+        model = fit_lda(Z_trn, labels[trn], num_classes)
+        T = _finite(posterior(model, Z_trn), f"the {kernel.name} discriminant scores")
     return KernelScore(
         kernel=kernel,
-        cross_entropy=cross_entropy(T, V),
+        cross_entropy=cross_entropy(T, V[trn]),
         model=model,
         embedding=Z,
         seconds=spent + (time.perf_counter() - start),

@@ -3,11 +3,12 @@ import pytest
 
 import kec.evaluation as evaluation
 import kec.selection as selection
-from kec import Dataset
+from kec import Dataset, fit
 from kec.errors import (
     InsufficientGrid,
     InvalidParams,
     NonFiniteFeature,
+    NumericOverflow,
     TooFewSamples,
 )
 from kec.evaluation import (
@@ -229,6 +230,39 @@ class TestCrossValidate:
         r1 = cross_validate(setting, EvalConfig(threads=1, **base))
         r2 = cross_validate(setting, EvalConfig(threads=3, **base))
         assert [r.error for r in r1.records] == [r.error for r in r2.records]
+
+    @pytest.mark.parametrize(
+        "method", ["fast-linear", "fast-multi", "derived", "reference"]
+    )
+    def test_overflowing_held_out_posterior_raises(self, monkeypatch, method):
+        """A held-out row whose posterior overflows fails its fold.
+
+        Training rows near 1e-10 and one held-out row at 1e300: its linear
+        embedding (about 1e290) is finite, so the fit succeeds, but
+        whitened by the training spread it passes float64's range. The
+        reference path is given the fast linear embedding (c1 holds the
+        two within 1e-10): its own Gram diagonal x.x overflows first.
+        """
+        ds = random_dataset(np.random.default_rng(0), 40, 6, 3)
+        features = ds.features * 1e-10
+        features[0] = 1e300
+        test_idx = np.arange(8)
+        labels = ds.labels.copy()
+        labels[test_idx] = 0
+        masked = Dataset(features, labels, 3)
+        linear_fit = fit(masked, (INNER_PRODUCT,))
+        lin, use = None, (INNER_PRODUCT,)
+        if method == "derived":
+            method, lin = "fast-linear", linear_fit.scores[0]
+        elif method == "fast-multi":
+            use = (INNER_PRODUCT, "spearman")
+        elif method == "reference":
+            embedding = linear_fit.scores[0].embedding
+            monkeypatch.setattr(evaluation, "embed_reference", lambda *a: embedding)
+        with pytest.raises(NumericOverflow, match="held-out"):
+            evaluation._run_fold(
+                method, masked, test_idx, ds.labels, use, 0.7, 1, None, lin
+            )
 
 
 class TestBenchScaling:

@@ -114,13 +114,10 @@ class TestDerivedState:
         got = discriminant_scores(model, z)
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-10
 
-    def test_rows_score_alone_as_in_a_batch(self, monkeypatch):
+    def test_rows_score_alone_as_in_a_batch(self):
         model, rng = self._model()
         z = rng.normal(size=(40, model.dim))
         full = posterior(model, z)
-        # blocks of 3 rows: every slice below crosses a block boundary
-        monkeypatch.setattr(kec.lda, "_SCORE_BLOCK_ELEMS", 3 * model.dim**2)
-        assert posterior(model, z).tobytes() == full.tobytes()
         for lo, hi in ((0, 1), (7, 8), (3, 11), (0, 40), (39, 40)):
             assert posterior(model, z[lo:hi]).tobytes() == full[lo:hi].tobytes()
 

@@ -20,7 +20,8 @@ from kec.errors import KecError
 from kec.evaluation import EvalConfig, cross_validate, kfold_split
 from kec.cli import main
 from kec.io import load_model, read_csv, save_model, write_csv
-from kec.lda import fit_lda, predict
+from kec.lda import LdaModel, discriminant_scores, fit_lda, posterior, predict
+from kec.selection import cross_entropy
 from kec.reference import embed_reference
 from kec.kernels import (
     BUILTIN_KERNELS,
@@ -72,13 +73,16 @@ def _same_bits(got, want):
 @example(name="linear", p=9000, n=5, k=3, tied=False, seed=0)
 @example(name="distance", p=9000, n=5, k=3, tied=False, seed=1)
 @example(name="spearman", p=9000, n=5, k=3, tied=True, seed=2)
+@example(name="linear", p=9000, n=1, k=1, tied=False, seed=3)
+@example(name="distance", p=9000, n=1, k=1, tied=False, seed=4)
 def test_cross_rows_do_not_depend_on_the_call(name, p, n, k, tied, seed):
     """Each entry of kernel_cross depends on its own two rows alone, bitwise.
 
     Row subsets are views at row offsets 0, 1 and 3 (for odd p their data
     is not aligned as the full matrix's is); the other operands are single
-    rows on either side, a copy of X one byte off float64 alignment, and
-    operands prepared for the kernel on either side.
+    rows on either side, every one-pair call, X stacked twice, a copy of X
+    one byte off float64 alignment, and operands prepared for the kernel on
+    either side.
     """
     p = max(p, 2) if name == "spearman" else p
     rng = np.random.default_rng(seed)
@@ -96,6 +100,10 @@ def test_cross_rows_do_not_depend_on_the_call(name, p, n, k, tied, seed):
         assert _same_bits(kernel_cross(X[i : i + 1], U, name), full[i : i + 1])
     for j in range(k):
         assert _same_bits(kernel_cross(X, U[j : j + 1], name), full[:, j : j + 1])
+        for i in range(n):
+            pair = kernel_cross(X[i : i + 1], U[j : j + 1], name)
+            assert _same_bits(pair, full[i : i + 1, j : j + 1])
+    assert _same_bits(kernel_cross(np.vstack([X, X]), U, name)[:n], full)
     misaligned = np.ndarray(X.shape, X.dtype, np.zeros(X.nbytes + 1, np.uint8), 1)
     misaligned[...] = X
     assert _same_bits(kernel_cross(misaligned, U, name), full)
@@ -343,6 +351,134 @@ def test_fit_is_bitwise_equal_at_any_thread_count(n, p, k, tied, unlabelled, see
     one = _fit_bits(ds, 1)
     for threads in (2, 3):
         assert _fit_bits(ds, threads) == one
+
+
+def _lda_case(seed, k, d, log_offset, m=60):
+    """A fitted LdaModel and rows to score, all shifted by about 10^log_offset.
+
+    The common offset is what the centring on c is for: the linear
+    embedding of shifted features puts every class mean far from the
+    origin while they differ by a few units.
+    """
+    rng = np.random.default_rng(seed)
+    y = np.concatenate([np.arange(1, k + 1), rng.integers(1, k + 1, m - k)])
+    mix = rng.normal(size=(d, d)) + 2.0 * np.eye(d)
+    shift = 10.0**log_offset * rng.uniform(1, 2, size=d)
+    Z = rng.normal(size=(m, d)) @ mix + rng.normal(0.0, 3.0, (k, d))[y - 1] + shift
+    rows = shift + rng.normal(0.0, 6.0, size=(37, d)) @ mix
+    return fit_lda(Z, y, k), rows
+
+
+_LDA_CASE = dict(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 12),
+    d=st.integers(1, 12),
+    log_offset=st.integers(0, 9),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_LDA_CASE, lo=st.integers(0, 36), size=st.integers(1, 37))
+@example(seed=0, k=10, d=10, log_offset=7, lo=3, size=9)
+def test_lda_rows_score_alone_as_in_the_batch(seed, k, d, log_offset, lo, size):
+    """Scores and posteriors of any rows equal the full batch's rows, bitwise.
+
+    Covers contiguous slices, every one-row batch, a gathered subset in
+    reverse and a copy one byte off float64 alignment.
+    """
+    model, rows = _lda_case(seed, k, d, log_offset)
+    for score in (discriminant_scores, posterior):
+        full = score(model, rows)
+        assert _same_bits(score(model, rows[lo : lo + size]), full[lo : lo + size])
+        for i in range(rows.shape[0]):
+            assert _same_bits(score(model, rows[i : i + 1]), full[i : i + 1])
+        picked = np.arange(rows.shape[0])[::-3]
+        assert _same_bits(score(model, rows[picked]), full[picked])
+        buffer = np.zeros(rows.nbytes + 1, np.uint8)
+        misaligned = np.ndarray(rows.shape, rows.dtype, buffer, 1)
+        misaligned[...] = rows
+        assert _same_bits(score(model, misaligned), full)
+
+
+def _difference_scores(model, Z):
+    """Scores in the difference form: each row minus each class mean, then whitened.
+
+    Also returns, per entry, m = || |W| (|z - c| + |mu_k - c|) ||, which
+    bounds the whitened vectors both forms square and so the size of
+    their rounding.
+    """
+    diff = Z[:, None, :] - model.means[None, :, :]
+    w = diff @ model.whiten.T
+    scores = np.log(model.priors) - 0.5 * np.sum(w * w, axis=-1)
+    spread = np.abs(Z - model.center)[:, None, :] + np.abs(model.means - model.center)
+    m = np.linalg.norm(spread @ np.abs(model.whiten).T, axis=-1)
+    return scores, m
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_LDA_CASE)
+def test_lda_scores_match_the_difference_form(seed, k, d, log_offset):
+    """The expanded scores stay within 8 (d + 2) eps (m^2 + |log prior|) of
+    the difference form, where m measures the entry's whitened vectors from
+    the centre c (see ``_difference_scores``): the bound grows with the
+    spread of rows and means about c, not with their distance from 0."""
+    model, rows = _lda_case(seed, k, d, log_offset)
+    for Z in (rows, model.means):
+        want, m = _difference_scores(model, Z)
+        eps = np.finfo(float).eps
+        bound = 8 * (d + 2) * eps * (m * m + np.abs(np.log(model.priors)))
+        assert np.all(np.abs(discriminant_scores(model, Z) - want) <= bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rank_structured=st.booleans(),
+    unlabelled=st.floats(0.0, 0.5),
+)
+def test_fit_cross_entropies_are_full_batch_posteriors(
+    seed, rank_structured, unlabelled
+):
+    """A fit scores only its training rows, yet each cross-entropy is bitwise
+    the one of the posteriors of every row of its embedding."""
+    ds = _cv_dataset(seed, rank_structured, tied=False)
+    labels = ds.labels.copy()
+    labels[np.random.default_rng(seed).random(ds.n) < unlabelled] = 0
+    labels[: ds.num_classes] = np.arange(1, ds.num_classes + 1)
+    ds = Dataset(ds.features, labels, ds.num_classes)
+    one_hot = np.zeros((ds.n, ds.num_classes))
+    trn = np.flatnonzero(labels > 0)
+    one_hot[trn, labels[trn] - 1] = 1.0
+    model = fit(ds)
+    for s in model.scores:
+        full = cross_entropy(posterior(s.model, s.embedding), one_hot)
+        assert np.float64(full).tobytes() == np.float64(s.cross_entropy).tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank_structured=st.booleans())
+def test_lda_scores_agree_across_threads_and_save_load(
+    tmp_path_factory, seed, rank_structured
+):
+    """Scores and posteriors are bitwise the same from fits at 1 and 2 threads
+    and from each fit's model after save and load."""
+    ds = _cv_dataset(seed, rank_structured, tied=False)
+    x = np.random.default_rng(seed).normal(0.0, 3.0, size=(23, ds.p))
+    tmp = tmp_path_factory.mktemp("lda")
+    outputs = []
+    for threads in (1, 2):
+        model = fit(ds, threads=threads)
+        save_model(tmp / f"{threads}.json", model)
+        for m in (model, load_model(tmp / f"{threads}.json")):
+            labels, post = predict_new(m, x)
+            lda = m.lda
+            rebuilt = LdaModel(lda.means, lda.pooled_cov, lda.priors, lda.ridge)
+            outputs.append(
+                [labels.tobytes(), post.tobytes()]
+                + [discriminant_scores(a, lda.means).tobytes() for a in (lda, rebuilt)]
+                + [a.tobytes() for a in (rebuilt.center, rebuilt.anchors, rebuilt.offsets)]
+            )
+    assert all(out == outputs[0] for out in outputs)
 
 
 @settings(max_examples=40, deadline=None)
