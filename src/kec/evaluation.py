@@ -1,16 +1,17 @@
 """Cross-validation, Monte-Carlo replication, and complexity-slope benchmarks.
 
-Within a replicate every method sees the same fold split. Test-fold
-labels are masked to 0 before the pipeline ever sees them; the held-out
-fold is then scored against the true labels. Errors aggregate over fold
-records (macro over folds, then replicates); timing wraps fit + predict
-only, on a monotonic clock; fast-multi's folds also carry equal shares of
-preparing the replicate's features. When both fast methods run and
-fast-multi's candidates hold the inner product, fast-linear does not fit
-the fold itself: it predicts from that branch of fast-multi's fit and is
-charged the branch's own time (``KernelScore.seconds``) plus its
-prediction, so work the two methods share counts once in each method's
-record.
+Within a replicate every method sees the same fold split, and the
+features are prepared, which checks them finite, once for each kernel
+the fast methods fit with. Test-fold labels are masked to 0 before the
+pipeline ever sees them; the held-out fold is then scored against the
+true labels. Errors aggregate over fold records (macro over folds, then
+replicates); timing wraps fit + predict only, on a monotonic clock;
+fast-multi's folds also carry equal shares of preparing the features for
+its candidates. When both fast methods run and fast-multi's candidates
+hold the inner product, fast-linear does not fit the fold itself: it
+predicts from that branch of fast-multi's fit and is charged the
+branch's own time (``KernelScore.seconds``) plus its prediction, so work
+the two methods share counts once in each method's record.
 
 For a simulation setting, each replicate redraws the dataset; for a fixed
 dataset, replicates only re-split.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, validate
+from .data import Dataset
 from .errors import InvalidParams, InsufficientGrid, TooFewSamples
 from .kernels import BASELINE_KERNEL, DEFAULT_KERNELS, INNER_PRODUCT, _prepare
 from .lda import fit_lda, posterior
@@ -173,8 +174,6 @@ def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
         dataset = generate(data.with_seed(data_seed))
     else:
         dataset = data
-    # The only finiteness check of these features: fold fits check labels.
-    validate(dataset)
     folds = kfold_split(dataset.n, config.folds, fold_seed)
     multi = use[METHOD_FAST_MULTI] if METHOD_FAST_MULTI in config.methods else ()
     # fast-linear reads fast-multi's inner-product branch when there is one,
@@ -185,10 +184,13 @@ def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
     # The fit a derived fast-linear reads runs first; records keep config order.
     order = sorted(config.methods, key=lambda m: derive and m == METHOD_FAST_LINEAR)
     start = time.perf_counter()
+    # Preparing checks the features finite; fold fits check their labels.
     # A state that overflows (row norms) is reported by the fit.
     with np.errstate(over="ignore", invalid="ignore"):
         prepared = {k: _prepare(dataset.features, k) for k in multi}
     charge = (time.perf_counter() - start) / config.folds
+    if METHOD_FAST_LINEAR in config.methods and INNER_PRODUCT not in prepared:
+        prepared[INNER_PRODUCT] = _prepare(dataset.features, INNER_PRODUCT)
     records = []
     for fold_idx, test_idx in enumerate(folds):
         masked_labels = dataset.labels.copy()
@@ -228,9 +230,10 @@ def cross_validate(data, config: EvalConfig, kernels=DEFAULT_KERNELS) -> EvalRep
     its kernel branches inline on the replicate's thread (one fan-out
     level).
 
-    A replicate's folds share its features, so fast-multi's per-row state
-    of them (ranks, row norms) is computed once per replicate and reused
-    by every fold's fit; its time is charged in equal shares to
+    A replicate's folds share its features, so they are prepared (checked
+    finite, with their ranks or row norms) once per replicate for each
+    kernel a fast method fits with, and reused by every fold's fit; the
+    time of fast-multi's candidates is charged in equal shares to
     fast-multi's folds. Held-out rows are predicted from the embedding the
     fit already computed for them.
 
@@ -321,9 +324,9 @@ def bench_scaling(
     """Median train time per grid point and the log-log slope per path.
 
     The grid must be ascending with at least 4 points spanning an 8x
-    range. Datasets are fully labeled; timing covers training only. Each
-    grid point is trained once untimed first, and each path's first point
-    until about 1.5 s of training has passed.
+    range, and paths must not repeat. Datasets are fully labeled; timing
+    covers training only. Each grid point is trained once untimed first,
+    and each path's first point until about 1.5 s of training has passed.
     """
     n_grid = [int(n) for n in n_grid]
     if len(n_grid) < 4:
@@ -334,6 +337,8 @@ def bench_scaling(
         raise InsufficientGrid("grid must span at least an 8x range")
     if runs < 1:
         raise InvalidParams("runs must be at least 1")
+    if not paths or len(set(paths)) != len(paths):
+        raise InvalidParams("paths must be non-empty and must not repeat")
     unknown = [p for p in paths if p not in (PATH_FAST, PATH_REFERENCE)]
     if unknown:
         raise InvalidParams(f"unknown paths {unknown}")

@@ -11,13 +11,11 @@ Three built-in kernels are provided:
   are ordered by numpy's value sort, O(p log p), of packed keys: each
   value's float64 bits with its column written into the low
   bit_length(p - 1) mantissa bits. A row keeps that order only when the
-  values read back in it are proven ascending: strictly, or
-  non-decreasing with every value finite. Any other row (+-inf, or
-  values too close for the packed key) is ordered by an unstable argsort;
-  a row holding a NaN has NaN ranks and is not ordered at all.
-  Every ascending order gives the same average ranks, so the path a row
-  took never shows in its ranks, and only rows that have ties pay for
-  averaging their runs.
+  values read back in it are proven ascending (non-decreasing); any
+  other row (values too close for the packed key) is ordered by an
+  unstable argsort. Every ascending order gives the same average ranks,
+  so the path a row took never shows in its ranks, and only rows that
+  have ties pay for averaging their runs.
 
 Each scalar kernel is ``kernel_cross`` on a one-row X and a one-row U, so
 ``kernel_cross(X, U, k)[i, j]`` equals the scalar value bitwise by
@@ -42,25 +40,26 @@ Where s is small against S the first term is cancellation, so an entry
 keeps s' only when s' > T S, with T = (2p + 1) 2^-27: then its relative
 error is at most 2^-26 + eps (half of float64's significand survives)
 and the distance's at most about 2^-27. Any other entry (s' <= T S, or
-s' not finite: a NaN operand, or S past float64's range) is computed
-from x - u, bitwise as the sums of a (rows, K, p) difference buffer.
-The choice reads only x and u, so an entry never depends on the other
-rows or class means of its call; a kept entry has finite norms and a
-finite positive s', so the expansion never yields NaN or +-inf.
+s' not finite: S past float64's range) is computed from x - u, bitwise
+as the sums of a (rows, K, p) difference buffer. The choice reads only x
+and u, so an entry never depends on the other rows or class means of its
+call; a kept entry has finite norms and a finite positive s', so the
+expansion never yields NaN or +-inf.
 
 Every cross step takes two operands from ``_prepare``, the one place
 where an operand is converted to an aligned, C-contiguous float64 matrix,
-checked to be 2-D and given its kernel's per-row state: row norms and
-their squares for distance, centered ranks and their sums of squares
-for spearman, nothing for linear and custom kernels. Each ``Kernel``
-owns the function that computes that state. An operand used many times
+checked to be 2-D and finite (no kernel has a value for NaN or +-inf)
+and given its kernel's per-row state: row norms and their squares for
+distance, centered ranks and their sums of squares for spearman,
+nothing for linear and custom kernels. Each ``Kernel`` owns the function
+that computes that state. An operand used many times
 (a model's class means, a cross-validation replicate's features) is
 prepared once and passed to ``kernel_cross`` as it is; one prepared for
 another kernel is prepared again from its rows. State is per row, so
 ``_Prepared.row_slice`` cuts a prepared operand to a block of rows,
 bitwise equal to preparing that block: a fit embeds a replicate's
-prepared features block by block without preparing them again. ``kernel_gram`` has no bitwise contract
-and uses BLAS for the inner product.
+prepared features block by block without preparing them again.
+``kernel_gram`` has no bitwise contract and uses BLAS for the inner product.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateLength, DimensionMismatch, UnknownKernel
+from .errors import DegenerateLength, DimensionMismatch, NonFiniteFeature, UnknownKernel
 
 # Identifier of the distance-to-kernel transform, written into every model
 # artifact; ``load_model`` rejects an artifact that names another one.
@@ -150,30 +149,25 @@ def _rank_state(a) -> tuple:
     centered ranks are a permutation of ``arange(p) - (p-1)/2``. The sums
     equal ``np.sum(c * c, axis=-1)`` bitwise; they are exact, so every
     tie-free row shares one constant and only rows with ties are summed.
-    Rows holding a NaN give NaN in both. Each row's ascending order comes
-    from ``_ascending_order``; average ranks do not depend on which
-    ascending order is used.
+    Values must be finite. Each row's ascending order comes from
+    ``_ascending_order``; average ranks do not depend on which ascending
+    order is used.
     """
     a = np.asarray(a, dtype=np.float64)
     p = a.shape[-1]
     flat = a.reshape(math.prod(a.shape[:-1]), p)
     # One scatter through the flat indices of each row's ascending order
     # writes the ranks.
-    order, s, unstrict = _ascending_order(flat)
+    order, s, tie_rows = _ascending_order(flat)
     sorted_c = np.arange(p) - (p - 1) / 2.0
     c = np.empty(flat.shape)
     c.reshape(-1)[order] = sorted_c
     ss = np.full(flat.shape[0], (p**3 - p) / 12)  # sum of sorted_c ** 2
-    # NaN sorts last, so a row holds a NaN iff its last sorted value is one.
-    nan_rows = np.isnan(s[:, -1:]).any(axis=-1)
-    tie_rows = unstrict[~nan_rows[unstrict]]
     if tie_rows.size:
         c.reshape(-1)[order[tie_rows]] = _tied_sorted_ranks(s[tie_rows], sorted_c)
         ss[tie_rows] = np.sum(c[tie_rows] ** 2, axis=-1)
     if p > _EXACT_SS_LENGTH:
         ss = np.sum(c * c, axis=-1)
-    c[nan_rows] = np.nan
-    ss[nan_rows] = np.nan
     return c.reshape(a.shape), ss.reshape(a.shape[:-1])
 
 
@@ -181,17 +175,14 @@ def _ascending_order(flat) -> tuple:
     """Flat indices of each row's values in ascending order, and those values.
 
     Also returns the rows whose sorted values are not strictly ascending:
-    exactly the rows that hold a tie or a NaN. A row holding a NaN is not
-    ordered: its indices stay in the row, and its last value is NaN.
+    exactly the rows that hold a tie. Every value must be finite.
 
     With b = bit_length(p - 1), each value's float64 bits have their low b
     mantissa bits replaced by its column, and the rows of these keys are
-    sorted by value. A row keeps that order only when it is proven: the
-    values gathered in it are strictly ascending (so distinct, and this is
-    the one ascending order), or they are non-decreasing and every value
-    in the row is finite. Any other row, one holding NaN or +-inf or
-    values within 2^b ulps of each other that came out of order, is
-    ordered by an unstable argsort, unless it holds a NaN.
+    sorted by value; a finite value keeps a finite key, so they hold each
+    column once. A row keeps that order when the values gathered in it are
+    non-decreasing. Any other row, one whose values within 2^b ulps of
+    each other came out of order, is ordered by an unstable argsort.
     """
     m, p = flat.shape
     b = max(p - 1, 0).bit_length()
@@ -199,11 +190,6 @@ def _ascending_order(flat) -> tuple:
     keys = flat.view(np.int64) & np.int64(~mask)
     keys |= np.arange(p)
     keys.view(np.float64).sort(axis=-1)
-    # A key is NaN only for a NaN or an infinite value. A sort may rewrite
-    # a NaN key (numpy's SIMD sorts write back a default NaN), but only to
-    # a NaN whose low bits are zero or another key's, so every column read
-    # back is below p. It may repeat a column, though, and the values
-    # gathered can then look non-decreasing: hence the finiteness rule.
     order = np.bitwise_and(keys, mask, out=keys)
     order += np.arange(m)[:, None] * p
     s = np.take(flat, order)
@@ -211,15 +197,7 @@ def _ascending_order(flat) -> tuple:
     unstrict = np.nonzero(~strict)[0]
     if unstrict.size:
         t = s[unstrict]
-        kept = (t[:, 1:] >= t[:, :-1]).all(axis=-1) & np.isfinite(
-            flat[unstrict]
-        ).all(axis=-1)
-        redo = unstrict[~kept]
-        # A row holding a NaN has no ranks to order: its last value is set
-        # to NaN, which marks it for the caller, and it skips the argsort.
-        nan = np.isnan(flat[redo]).any(axis=-1)
-        s[redo[nan], -1] = np.nan
-        redo = redo[~nan]
+        redo = unstrict[~(t[:, 1:] >= t[:, :-1]).all(axis=-1)]
         if redo.size:
             o = np.argsort(flat[redo], axis=-1)
             o += redo[:, None] * p
@@ -324,8 +302,8 @@ def _sq_distances(X: _Prepared, U: _Prepared) -> np.ndarray:
     """Squared Euclidean distances of X's rows to U's rows; an (n, K) matrix.
 
     Through the expansion ||x||^2 + ||u||^2 - 2 x.u, except that an entry
-    not above T (||x||^2 + ||u||^2), or not finite, is computed from x - u
-    (see the module docstring).
+    not above T (||x||^2 + ||u||^2), or not finite (operands are finite,
+    so only S can overflow), is computed from x - u (module docstring).
     """
     (_, sx), (_, su) = X.state, U.state
     X, U = X.rows, U.rows
@@ -437,7 +415,8 @@ def _prepare(A, kernel) -> _Prepared:
 
     An operand already prepared for the kernel is returned as it is; one
     prepared for another kernel is prepared again from its rows. Raises
-    ``DimensionMismatch`` unless A is a matrix.
+    ``DimensionMismatch`` unless A is a matrix, and ``NonFiniteFeature``
+    (the one finiteness check of kernel operands) if it holds NaN or +-inf.
     """
     k = resolve_kernel(kernel)
     if isinstance(A, _Prepared):
@@ -450,6 +429,8 @@ def _prepare(A, kernel) -> _Prepared:
     A = np.require(A, np.float64, "CAE")
     if A.ndim != 2:
         raise DimensionMismatch("kernel matrices must be 2-D")
+    if not np.isfinite(A).all():
+        raise NonFiniteFeature("features contain NaN or infinite values")
     return _Prepared(A, k, k.state(A))
 
 

@@ -23,7 +23,6 @@ from .errors import (
     DimensionMismatch,
     InvalidParams,
     NoBaselineKernel,
-    NonFiniteFeature,
     NotFitted,
     NumericOverflow,
     ShapeMismatch,
@@ -157,8 +156,8 @@ def select_kernel(scores, baseline: int, threshold: float = DEFAULT_SWITCH_THRES
 def _finite(a: np.ndarray, what: str) -> np.ndarray:
     """``a``, if every entry is finite; else ``NumericOverflow`` naming ``what``.
 
-    Inputs are checked finite before any of this is computed, so a value
-    that is not finite here has overflowed float64.
+    Inputs are checked finite before any of this is used, so a value that
+    is not finite here has overflowed float64.
     """
     if not np.isfinite(a).all():
         raise NumericOverflow(
@@ -205,10 +204,17 @@ def _score_kernel(
 
 
 def _candidates(kernels) -> tuple:
-    """Resolved candidate kernels; a single name or callable is one candidate."""
+    """Resolved candidate kernels; a single name or callable is one candidate.
+
+    A name that repeats after resolution raises ``InvalidParams``.
+    """
     if isinstance(kernels, str) or callable(kernels):
         kernels = (kernels,)
-    return tuple(resolve_kernel(k) for k in kernels)
+    candidates = tuple(resolve_kernel(k) for k in kernels)
+    names = [k.name for k in candidates]
+    if len(set(names)) != len(names):
+        raise InvalidParams(f"kernels must not repeat, got {names}")
+    return candidates
 
 
 def fit(
@@ -238,7 +244,7 @@ def fit(
     ``switch_threshold`` must be finite and greater than 0.
 
     Each ``KernelScore.seconds`` is the time its branch cost, on a
-    monotonic clock: the fit's shared set-up (validation, weights, class
+    monotonic clock: the fit's shared set-up (label checks, weights, class
     means and their preparation), plus the busy time of that kernel's
     (kernel, row block) embed items, plus its LDA step. It is a sum of
     work, not a span of wall time, so branches that ran side by side each
@@ -249,12 +255,14 @@ def fit(
     product, which every candidate set holds, grows with the square of
     the feature scale and so overflows first.
 
+    A fit checks its labels; ``kernels._prepare`` checks feature rows
+    finite (``NonFiniteFeature``). Class means that are not finite are
+    built before any row is prepared, so the features are checked first.
+
     ``_prepared`` is private to ``cross_validate``: a mapping from
     candidate Kernel to ``kernels._prepare(dataset.features, kernel)``,
     so the folds of one replicate share one preparation of their common
-    features. Its items are cut to each block with ``row_slice``. The
-    replicate has checked those features finite, so a fit given
-    ``_prepared`` checks only its labels.
+    features. Its items are cut to each block with ``row_slice``.
     """
     _check_switch_threshold(switch_threshold)
     candidates = _candidates(kernels)
@@ -270,12 +278,14 @@ def fit(
         ) from None
 
     start = time.perf_counter()
-    # Features that come prepared were checked finite with them.
-    stats = validate(dataset) if _prepared is None else _label_stats(dataset)
+    stats = _label_stats(dataset)
     weights = build_weights(dataset.labels, stats)
     one_hot = weights.one_hot()
     with np.errstate(over="ignore", invalid="ignore"):
-        class_means = _finite(build_U(dataset.features, weights), "the class means")
+        class_means = build_U(dataset.features, weights)
+        if not np.isfinite(class_means).all():
+            validate(dataset)
+            _finite(class_means, "the class means")
         means = [_prepare(class_means, k) for k in candidates]
     prepared = _prepared or {}
     embeddings = [np.empty((dataset.n, dataset.num_classes)) for _ in candidates]
@@ -336,8 +346,6 @@ def predict_new(model: EncoderModel, X_new):
             f"model expects {model.num_features} columns, data has "
             f"{X_new.shape[1]}"
         )
-    if not np.isfinite(X_new).all():
-        raise NonFiniteFeature("features contain NaN or infinite values")
     with np.errstate(over="ignore", invalid="ignore"):
         Z = embed(X_new, model.prepared_means, model.kernel)
         post = posterior(model.lda, Z)

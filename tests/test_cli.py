@@ -99,6 +99,17 @@ class TestTrain:
         )
         assert res.returncode == 0
 
+    @pytest.mark.parametrize("kernels", ["linear,spearman,spearman", "linear,linear"])
+    def test_repeated_kernels_exit_2_with_one_line(self, tmp_path, capsys, kernels):
+        data, model = simulate(tmp_path), tmp_path / "model.json"
+        argv = ["train", "--data", str(data), "--model-out", str(model),
+                "--kernels", kernels]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: kernels must not repeat")
+        assert not model.exists()
+
     def test_missing_baseline_exits_2(self, tmp_path):
         data = simulate(tmp_path)
         res = run(
@@ -522,6 +533,15 @@ class TestBench:
         )
         assert res.returncode == 0, res.stderr
         assert "reference" not in res.stdout
+
+    @pytest.mark.parametrize("paths", ["", "fast,fast"])
+    def test_empty_or_repeated_paths_exit_2(self, capsys, paths):
+        argv = ["bench", "--n-grid", "40,80,160,320", "--p", "10", "--runs", "1",
+                "--paths", paths]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: paths must be non-empty and must not repeat\n"
 
     def test_zero_runs_exits_2(self):
         res = run("bench", "--n-grid", "40,80,160,320", "--p", "10", "--runs", "0")

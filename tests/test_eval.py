@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import kec.evaluation as evaluation
+import kec.kernels as kmod
 import kec.selection as selection
 from kec import Dataset, fit
 from kec.errors import (
@@ -188,22 +191,34 @@ class TestCrossValidate:
         "methods", [("fast-multi", "fast-linear"), ("fast-linear",)]
     )
     def test_features_checked_once_per_replicate(self, monkeypatch, methods):
-        """Fold fits check their labels only; the replicate checked the features."""
-        calls = []
+        """A replicate prepares, and so checks, its features once per kernel.
 
-        def counting(site, real):
-            def validate(dataset):
-                calls.append(site)
-                return real(dataset)
+        Fold fits embed cuts of those prepared features and never prepare a
+        raw n-row operand; a NaN feature still raises ``NonFiniteFeature``.
+        """
+        calls, depth = [], [0]
+        real_prepare, real_fit = kmod._prepare, evaluation.fit
 
-            return validate
+        def prepare(A, kernel):
+            if not isinstance(A, kmod._Prepared) and np.shape(A)[0] == 40:
+                calls.append((depth[0] > 0, kmod.resolve_kernel(kernel).name))
+            return real_prepare(A, kernel)
 
-        for mod in (evaluation, selection):
-            monkeypatch.setattr(mod, "validate", counting(mod.__name__, mod.validate))
+        def fit(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return real_fit(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        for mod in (kmod, selection, evaluation):
+            monkeypatch.setattr(mod, "_prepare", prepare)
+        monkeypatch.setattr(evaluation, "fit", fit)
         ds = random_dataset(np.random.default_rng(18), 40, 5, 2, scale=2.0)
         config = EvalConfig(folds=4, replicates=3, seed=19, methods=methods)
         cross_validate(ds, config)
-        assert calls == ["kec.evaluation"] * 3
+        names = DEFAULT_KERNELS if "fast-multi" in methods else ("linear",)
+        assert sorted(calls) == sorted((False, name) for name in names * 3)
         features = ds.features.copy()
         features[5, 1] = np.nan
         with pytest.raises(NonFiniteFeature):
@@ -287,6 +302,12 @@ class TestBenchScaling:
         with pytest.raises(InvalidParams):
             bench_scaling(setting, [40, 80, 160, 320], paths=("fast", "gpu"))
 
+    @pytest.mark.parametrize("paths", [(), ("fast", "fast")])
+    def test_empty_or_repeated_paths_rejected(self, paths):
+        setting = SimSetting("normal-hd", n=2, p=10, num_classes=3, seed=0)
+        with pytest.raises(InvalidParams, match="paths"):
+            bench_scaling(setting, [40, 80, 160, 320], paths=paths)
+
     def test_runs_below_one_rejected(self):
         setting = SimSetting("normal-hd", n=2, p=10, num_classes=3, seed=0)
         with pytest.raises(InvalidParams, match="runs"):
@@ -308,7 +329,9 @@ class TestBenchScaling:
         ds = generate(SimSetting("normal-hd", n=4000, p=200, num_classes=5, seed=0))
         variants = {
             "single": ("linear",),
-            "same3": ("linear", "linear", "linear"),
+            # the inner product under three names: one per-kernel cost, thrice
+            "same3": ("linear",)
+            + tuple(replace(INNER_PRODUCT, name=f"linear-{c}") for c in "bc"),
             "mixed3": ("linear", "distance", "spearman"),
         }
         for kernels in variants.values():
@@ -322,7 +345,7 @@ class TestBenchScaling:
                 fit(ds, kernels)
                 best[name] = min(best[name], time.perf_counter() - t0)
         # tripling M with a fixed per-kernel cost scales time by ~M,
-        # diluted by the shared validate/means work
+        # diluted by the shared label checks and class means
         assert 1.8 <= best["same3"] / best["single"] <= 4.0
         # the built-in set has unequal constants (ranking dominates) but
         # must stay a bounded multiple, never an n x n blowup

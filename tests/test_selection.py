@@ -10,6 +10,7 @@ from kec import Dataset
 from kec.encoder import embed
 from kec.errors import (
     DimensionMismatch,
+    InvalidParams,
     NoBaselineKernel,
     NonFiniteFeature,
     NotFitted,
@@ -30,6 +31,11 @@ from kec.selection import (
 from kec.simgen import SimSetting, generate
 
 from helpers import random_dataset, rescaled_pattern_dataset
+
+
+def linear(x, u):
+    """A custom kernel named like the inner product, but another kernel."""
+    return float(np.dot(x, u))
 
 
 class TestCrossEntropy:
@@ -141,6 +147,22 @@ class TestFit:
             fit(ds, kernels=("distance", "spearman"))
         with pytest.raises(NoBaselineKernel):
             fit(ds, kernels=())
+
+    @pytest.mark.parametrize(
+        "kernels",
+        [
+            ("linear", "spearman", "spearman"),
+            ("linear", kec.kernels.INNER_PRODUCT),
+            ("linear", linear),
+        ],
+    )
+    def test_repeated_kernels_rejected(self, kernels):
+        """A kernel that repeats after resolution would repeat in kernel_ids."""
+        ds = generate(SimSetting("uniform-hd", n=60, p=10, num_classes=2, seed=1))
+        with pytest.raises(InvalidParams, match="must not repeat"):
+            fit(ds, kernels=kernels)
+        with pytest.raises(InvalidParams, match="must not repeat"):
+            cross_validate(ds, EvalConfig(folds=2, replicates=1), kernels)
 
     def test_cross_entropies_recorded_in_candidate_order(self):
         ds = generate(SimSetting("uniform-hd", n=80, p=12, num_classes=3, seed=2))
