@@ -5,13 +5,10 @@ features are prepared, which checks them finite, once for each kernel
 the fast methods fit with. Test-fold labels are masked to 0 before the
 pipeline ever sees them; the held-out fold is then scored against the
 true labels. Errors aggregate over fold records (macro over folds, then
-replicates); timing wraps fit + predict only, on a monotonic clock;
-fast-multi's folds also carry equal shares of preparing the features for
-its candidates. When both fast methods run and fast-multi's candidates
-hold the inner product, fast-linear does not fit the fold itself: it
-predicts from that branch of fast-multi's fit and is charged the
-branch's own time (``KernelScore.seconds``) plus its prediction, so work
-the two methods share counts once in each method's record.
+replicates). Each fast method's fold record reads one branch of the
+fold's fits, on a monotonic clock: fast-multi the branch its fit chose,
+fast-linear always the inner-product branch, of fast-multi's fit or of
+its own (see ``cross_validate``).
 
 For a simulation setting, each replicate redraws the dataset; for a fixed
 dataset, replicates only re-split.
@@ -21,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +57,8 @@ class EvalConfig:
             raise InvalidParams("folds must be at least 2")
         if self.replicates < 1:
             raise InvalidParams("replicates must be at least 1")
+        if self.seed < 0:
+            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise InvalidParams("methods must be non-empty and must not repeat")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -125,42 +125,41 @@ def _predict_held_out(lda, z, what: str) -> np.ndarray:
     return np.argmax(post, axis=1) + 1
 
 
-def _run_fold(method, masked, test_idx, truth, use, threshold, threads, prepared, lin):
-    """Fit on the masked dataset, predict the held-out rows, and time it.
+def _reference_fit(dataset: Dataset) -> tuple:
+    """The reference pipeline, as ``(z, lda)``: every row embedded through
+    the Gram matrix, and the LDA fitted on the training rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = _finite(embed_reference(dataset, BASELINE_KERNEL), "the reference embedding")
+        trn = np.flatnonzero(dataset.labels > 0)
+        lda = fit_lda(z[trn], dataset.labels[trn], dataset.num_classes)
+    return z, lda
 
-    Returns the error, the seconds and the fit (None for reference). The
-    fit already embedded the held-out rows, so they are predicted from
-    the chosen branch's embedding; rows are independent, so this gives
-    the labels ``predict_new`` would. Given ``lin``, the inner-product
-    branch of fast-multi's fit on this fold, fast-linear does not fit:
-    both fits embed the same masked rows against the same class means, so
-    that branch's LDA and embedding are bitwise a fast-linear fit's. It is
-    charged ``lin.seconds`` plus its own prediction. A held-out posterior
-    that is not finite raises ``NumericOverflow``.
+
+def _predict_fold(method, masked, test_idx, fitted) -> tuple:
+    """One method's held-out labels on a fold, and its seconds but for preparation.
+
+    ``fitted`` holds the fold's fits as ``(model, wall seconds)``, fast-multi's
+    first. The fit already embedded the held-out rows, and rows are
+    independent, so a branch gives the labels ``predict_new`` would. A
+    held-out posterior that is not finite raises ``NumericOverflow``.
     """
-    assert np.all(masked.labels[test_idx] == 0), "test labels leaked into fit"
     start = time.perf_counter()
-    model = None
     if method == METHOD_REFERENCE:
-        with np.errstate(over="ignore", invalid="ignore"):
-            z = _finite(
-                embed_reference(masked, BASELINE_KERNEL), "the reference embedding"
-            )
-            trn = np.flatnonzero(masked.labels > 0)
-            lda = fit_lda(z[trn], masked.labels[trn], masked.num_classes)
+        z, lda = _reference_fit(masked)
         predicted = _predict_held_out(lda, z[test_idx], "reference")
-    elif lin is not None:
-        predicted = _predict_held_out(lin.model, lin.embedding[test_idx], "linear")
-        start -= lin.seconds
+        return predicted, time.perf_counter() - start
+    if method == METHOD_FAST_MULTI:
+        model, spent = fitted[0]
+        branch = next(s for s in model.scores if s.model is model.lda)
     else:
-        model = fit(masked, use, threshold, threads=threads, _prepared=prepared)
-        chosen = next(s for s in model.scores if s.model is model.lda)
-        predicted = _predict_held_out(
-            model.lda, chosen.embedding[test_idx], model.kernel.name
+        branch = next(
+            s for model, _ in fitted for s in model.scores if s.kernel is INNER_PRODUCT
         )
-    seconds = time.perf_counter() - start
-    error = float(np.mean(predicted != truth[test_idx]))
-    return error, seconds, model
+        spent = branch.seconds
+    predicted = _predict_held_out(
+        branch.model, branch.embedding[test_idx], branch.kernel.name
+    )
+    return predicted, spent + (time.perf_counter() - start)
 
 
 def _replicate_seeds(seed, replicate: int) -> tuple:
@@ -168,55 +167,54 @@ def _replicate_seeds(seed, replicate: int) -> tuple:
     return int(state[0]), int(state[1])
 
 
-def _run_replicate(data, config: EvalConfig, use: dict, replicate: int) -> list:
+def _run_replicate(data, config: EvalConfig, candidates: tuple, replicate: int) -> list:
     data_seed, fold_seed = _replicate_seeds(config.seed, replicate)
     if isinstance(data, SimSetting):
         dataset = generate(data.with_seed(data_seed))
     else:
         dataset = data
     folds = kfold_split(dataset.n, config.folds, fold_seed)
-    multi = use[METHOD_FAST_MULTI] if METHOD_FAST_MULTI in config.methods else ()
-    # fast-linear reads fast-multi's inner-product branch when there is one,
-    # found by identity: a custom kernel named "linear" is another kernel.
-    derive = METHOD_FAST_LINEAR in config.methods and any(
-        k is INNER_PRODUCT for k in multi
-    )
-    # The fit a derived fast-linear reads runs first; records keep config order.
-    order = sorted(config.methods, key=lambda m: derive and m == METHOD_FAST_LINEAR)
-    start = time.perf_counter()
+    # Each fold's fits: fast-multi's candidates, and the inner product for
+    # fast-linear unless a candidate is it, found by identity: a custom
+    # kernel named "linear" is another kernel.
+    uses = [candidates] if METHOD_FAST_MULTI in config.methods else []
+    if METHOD_FAST_LINEAR in config.methods and not any(
+        k is INNER_PRODUCT for use in uses for k in use
+    ):
+        uses.append((INNER_PRODUCT,))
     # Preparing checks the features finite; fold fits check their labels.
     # A state that overflows (row norms) is reported by the fit.
-    with np.errstate(over="ignore", invalid="ignore"):
-        prepared = {k: _prepare(dataset.features, k) for k in multi}
-    charge = (time.perf_counter() - start) / config.folds
-    if METHOD_FAST_LINEAR in config.methods and INNER_PRODUCT not in prepared:
-        prepared[INNER_PRODUCT] = _prepare(dataset.features, INNER_PRODUCT)
+    prepared, share = {}, {}
+    for kernel in (k for use in uses for k in use):
+        start = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"):
+            prepared[kernel] = _prepare(dataset.features, kernel)
+        share[kernel] = (time.perf_counter() - start) / config.folds
+    # A fast method's records share preparing the kernels it used.
+    used = {METHOD_FAST_MULTI: candidates, METHOD_FAST_LINEAR: (INNER_PRODUCT,)}
+    charge = {m: sum(share[k] for k in used.get(m, ())) for m in config.methods}
     records = []
     for fold_idx, test_idx in enumerate(folds):
         masked_labels = dataset.labels.copy()
         masked_labels[test_idx] = 0
         masked = Dataset(dataset.features, masked_labels, dataset.num_classes)
-        done, fits = {}, {}
-        for method in order:
-            lin = None
-            if derive and method == METHOD_FAST_LINEAR:
-                branches = fits[METHOD_FAST_MULTI].scores
-                lin = next(s for s in branches if s.kernel is INNER_PRODUCT)
-            error, seconds, fits[method] = _run_fold(
-                method,
+        fitted = []
+        for use in uses:
+            start = time.perf_counter()
+            model = fit(
                 masked,
-                test_idx,
-                dataset.labels,
-                use.get(method),
+                use,
                 config.switch_threshold,
-                config.threads,
-                prepared,
-                lin,
+                threads=config.threads,
+                _prepared=prepared,
             )
-            if method == METHOD_FAST_MULTI:
-                seconds += charge
-            done[method] = FoldRecord(method, replicate, fold_idx, error, seconds)
-        records.extend(done[method] for method in config.methods)
+            fitted.append((model, time.perf_counter() - start))
+        for method in config.methods:
+            predicted, seconds = _predict_fold(method, masked, test_idx, fitted)
+            error = float(np.mean(predicted != dataset.labels[test_idx]))
+            records.append(
+                FoldRecord(method, replicate, fold_idx, error, seconds + charge[method])
+            )
     return records
 
 
@@ -232,30 +230,28 @@ def cross_validate(data, config: EvalConfig, kernels=DEFAULT_KERNELS) -> EvalRep
 
     A replicate's folds share its features, so they are prepared (checked
     finite, with their ranks or row norms) once per replicate for each
-    kernel a fast method fits with, and reused by every fold's fit; the
-    time of fast-multi's candidates is charged in equal shares to
-    fast-multi's folds. Held-out rows are predicted from the embedding the
-    fit already computed for them.
+    kernel a fast method fits with, and reused by every fold's fit. Each
+    fold runs one fit of fast-multi's candidates, when fast-multi runs,
+    and one of the inner product alone, when fast-linear runs and no
+    candidate is ``kernels.INNER_PRODUCT`` itself (a custom kernel named
+    "linear" is another kernel). Held-out rows are predicted from the
+    embedding the fit already computed for them.
 
-    When both fast methods run and fast-multi's candidates hold the inner
-    product itself (``kernels.INNER_PRODUCT``; a custom kernel named
-    "linear" is another kernel), each fold is fitted once: fast-linear
-    predicts from fast-multi's inner-product branch, whose LDA and
-    embedding are bitwise those a fit of its own would give. Its record's
-    ``seconds`` is that branch's ``KernelScore.seconds`` (the fit's shared
-    set-up, the branch's embedding and its LDA step) plus its prediction,
-    so the shared set-up and the linear branch count in both methods'
-    records. Otherwise fast-linear fits the fold itself. Records keep the
-    configured method order within each fold. ``kernels`` is resolved
-    whichever methods are configured, so an unknown name raises
-    ``UnknownKernel`` before any replicate runs.
+    fast-multi's record reads its fit's chosen branch and is charged the
+    fit's wall time. fast-linear's record always reads the inner-product
+    branch, whose LDA and embedding are the same whichever fit holds it,
+    and is charged that branch's ``KernelScore.seconds`` (the fit's shared
+    set-up, the branch's embedding and its LDA step). Each adds its
+    prediction and an equal per-fold share of preparing its kernels:
+    fast-multi's candidates, or the inner product. Work the two methods
+    share counts in both records. Records keep the configured method order
+    within each fold; a fold runs its fits before the reference pipeline.
+    ``kernels`` is resolved whichever methods are configured, so an
+    unknown name raises ``UnknownKernel`` before any replicate runs.
     """
-    use = {
-        METHOD_FAST_LINEAR: (INNER_PRODUCT,),
-        METHOD_FAST_MULTI: _candidates(kernels),
-    }
+    candidates = _candidates(kernels)
     per_replicate = map_ordered(
-        lambda r: _run_replicate(data, config, use, r),
+        lambda r: _run_replicate(data, config, candidates, r),
         range(config.replicates),
         threads=config.threads,
     )
@@ -358,14 +354,9 @@ def bench_scaling(
                 )
             )
             if path == PATH_FAST:
-                def train():
-                    fit(dataset, kernels)
+                train = partial(fit, dataset, kernels)
             else:
-                trn = np.flatnonzero(dataset.labels > 0)
-
-                def train():
-                    z = embed_reference(dataset, BASELINE_KERNEL)
-                    fit_lda(z[trn], dataset.labels[trn], dataset.num_classes)
+                train = partial(_reference_fit, dataset)
             warm = _time_once(train)  # untimed
             while n == n_grid[0] and warm < _WARMUP_SECONDS:
                 warm += _time_once(train)

@@ -67,6 +67,8 @@ class SimSetting:
             raise InvalidParams("n must be at least 1")
         if self.num_classes < 1:
             raise InvalidParams("num_classes must be at least 1")
+        if self.seed < 0:
+            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
         if self.p < self.num_classes:
             raise InvalidParams(
                 f"p must be >= num_classes so every class has a signal "

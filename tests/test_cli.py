@@ -405,6 +405,23 @@ class TestRejectsInvalidSettings:
         assert ENV_THREADS in err
         assert not model.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--setting", "normal-hd", "--n", "10", "--p", "5",
+             "--k", "2", "--seed", "-1"],
+            ["cv", "--setting", "uniform-hd", "--n", "50", "--seed", "-1"],
+            ["bench", "--n-grid", "40,80,160,320", "--p", "10", "--runs", "1",
+             "--seed", "-10"],
+        ],
+    )
+    def test_negative_seed(self, tmp_path, capsys, argv):
+        out = tmp_path / "sim.csv"
+        extra = ["--out", str(out)] if argv[0] == "simulate" else []
+        err = self._exits_2(capsys, *argv, *extra)
+        assert "seed" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["abc", "2.5", " "])
     def test_threads_env_not_an_integer(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv(ENV_THREADS, value)

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -61,6 +62,10 @@ class TestConfig:
     def test_replicates_lower_bound(self):
         with pytest.raises(InvalidParams):
             EvalConfig(replicates=0)
+
+    def test_negative_seed(self):
+        with pytest.raises(InvalidParams, match="seed must be non-negative, got -1"):
+            EvalConfig(seed=-1)
 
     def test_unknown_method(self):
         with pytest.raises(InvalidParams):
@@ -158,11 +163,11 @@ class TestCrossValidate:
             (("fast-multi", "fast-linear"), DEFAULT_KERNELS, [(3, True)]),
             (("reference", "fast-linear", "fast-multi"), DEFAULT_KERNELS, [(3, True)]),
             # a custom kernel named "linear" is not the inner product, so
-            # fast-linear fits itself, before fast-multi
+            # fast-linear fits itself, after fast-multi
             (
                 ("fast-linear", "fast-multi"),
                 (linear, "distance"),
-                [(1, True), (2, False)],
+                [(2, False), (1, True)],
             ),
         ],
     )
@@ -224,6 +229,25 @@ class TestCrossValidate:
         with pytest.raises(NonFiniteFeature):
             cross_validate(Dataset(features, ds.labels, 2), config)
 
+    @pytest.mark.parametrize(
+        "methods", [("fast-linear",), ("fast-linear", "fast-multi")]
+    )
+    def test_fast_linear_is_charged_its_preparation(self, monkeypatch, methods):
+        """fast-linear's records share preparing the inner-product operand."""
+        real_prepare = evaluation._prepare
+
+        def prepare(A, kernel):
+            if kernel is INNER_PRODUCT:
+                time.sleep(0.2)
+            return real_prepare(A, kernel)
+
+        monkeypatch.setattr(evaluation, "_prepare", prepare)
+        ds = random_dataset(np.random.default_rng(20), 40, 5, 2, scale=2.0)
+        config = EvalConfig(folds=4, replicates=1, seed=21, methods=methods)
+        report = cross_validate(ds, config)
+        seconds = [r.seconds for r in report.records if r.method == "fast-linear"]
+        assert len(seconds) == 4 and min(seconds) >= 0.05
+
     def test_methods_share_folds_and_agree_on_linear_pipelines(self):
         # fast-linear and reference are the same classifier computed two
         # ways, so per-fold errors must coincide when folds are shared
@@ -266,18 +290,16 @@ class TestCrossValidate:
         labels[test_idx] = 0
         masked = Dataset(features, labels, 3)
         linear_fit = fit(masked, (INNER_PRODUCT,))
-        lin, use = None, (INNER_PRODUCT,)
-        if method == "derived":
-            method, lin = "fast-linear", linear_fit.scores[0]
-        elif method == "fast-multi":
-            use = (INNER_PRODUCT, "spearman")
+        fitted = [(linear_fit, 0.0)]
+        if method in ("fast-multi", "derived"):
+            # fast-linear derived: it reads fast-multi's inner-product branch
+            fitted = [(fit(masked, (INNER_PRODUCT, "spearman")), 0.0)]
+            method = "fast-linear" if method == "derived" else method
         elif method == "reference":
             embedding = linear_fit.scores[0].embedding
             monkeypatch.setattr(evaluation, "embed_reference", lambda *a: embedding)
         with pytest.raises(NumericOverflow, match="held-out"):
-            evaluation._run_fold(
-                method, masked, test_idx, ds.labels, use, 0.7, 1, None, lin
-            )
+            evaluation._predict_fold(method, masked, test_idx, fitted)
 
 
 class TestBenchScaling:
@@ -322,8 +344,6 @@ class TestBenchScaling:
         assert report.medians("reference") == []
 
     def test_kernel_count_scales_time_proportionally(self):
-        import time
-
         from kec.selection import fit
 
         ds = generate(SimSetting("normal-hd", n=4000, p=200, num_classes=5, seed=0))

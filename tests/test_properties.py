@@ -537,8 +537,8 @@ def test_scaled_data_gives_finite_posteriors_or_a_kec_error(s, seed):
 
     Covers a fit on the scaled rows, predict_new on them with a model
     fitted on either scale, and cross-validation of all three methods
-    (reference first: a fold stops at its first error); warnings are
-    errors under this suite.
+    (a fold runs its fits, then the reference pipeline, and stops at its
+    first error); warnings are errors under this suite.
     """
     ds = random_dataset(np.random.default_rng(seed), 60, 4, 3)
     scaled = Dataset(ds.features * 10.0**s, ds.labels, ds.num_classes)

@@ -140,3 +140,5 @@ class TestContracts:
             SimSetting("gaussian-hd", n=10, p=10, num_classes=2)
         with pytest.raises(InvalidParams):
             SimSetting("uniform-hd", n=0, p=10, num_classes=2)
+        with pytest.raises(InvalidParams, match="seed must be non-negative, got -1"):
+            SimSetting("uniform-hd", n=10, p=10, num_classes=2, seed=-1)
