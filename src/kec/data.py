@@ -24,6 +24,7 @@ from .errors import (
     InvalidParams,
     MissingClass,
     NonFiniteFeature,
+    check_count,
 )
 
 
@@ -33,7 +34,7 @@ class Dataset:
 
     Construction raises ``DimensionMismatch`` for malformed shapes and
     ``InvalidParams`` for non-integer or out-of-range labels and a
-    non-positive ``num_classes``.
+    ``num_classes`` that is not an integer of at least 1.
     """
 
     features: np.ndarray
@@ -52,9 +53,7 @@ class Dataset:
         if labels.size and not np.all(labels == labels.astype(np.int64)):
             raise InvalidParams("labels must be integers")
         labels = labels.astype(np.int64)
-        k = int(self.num_classes)
-        if k < 1:
-            raise InvalidParams("num_classes must be a positive integer")
+        k = check_count("num_classes", self.num_classes, 1)
         if labels.size and (labels.min() < 0 or labels.max() > k):
             raise InvalidParams(f"labels must lie in [0, {k}]")
         object.__setattr__(self, "features", feats)

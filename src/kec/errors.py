@@ -4,6 +4,8 @@ All library errors derive from :class:`KecError` so callers (and the CLI)
 can distinguish data/usage problems from genuine bugs.
 """
 
+from numbers import Integral
+
 
 class KecError(Exception):
     """Base class for all errors raised by this package."""
@@ -11,6 +13,16 @@ class KecError(Exception):
 
 class InvalidParams(KecError):
     """Arguments violate a documented precondition."""
+
+
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int: a non-bool integer >= ``least``, else InvalidParams."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidParams(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise InvalidParams(f"{name} must be {bound}, got {value}")
+    return int(value)
 
 
 class DimensionMismatch(KecError):

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidParams, InsufficientGrid, TooFewSamples
+from .errors import InvalidParams, InsufficientGrid, TooFewSamples, check_count
 from .kernels import BASELINE_KERNEL, DEFAULT_KERNELS, INNER_PRODUCT, _prepare
 from .lda import fit_lda, posterior
 from .parallel import map_ordered
@@ -53,12 +53,8 @@ class EvalConfig:
     switch_threshold: float = DEFAULT_SWITCH_THRESHOLD
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise InvalidParams("folds must be at least 2")
-        if self.replicates < 1:
-            raise InvalidParams("replicates must be at least 1")
-        if self.seed < 0:
-            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
+        for name, low in ("folds", 2), ("replicates", 1), ("seed", 0), ("threads", 1):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
         if not self.methods or len(set(self.methods)) != len(self.methods):
             raise InvalidParams("methods must be non-empty and must not repeat")
         unknown = [m for m in self.methods if m not in METHODS]
@@ -101,8 +97,7 @@ class EvalReport:
 
 def kfold_split(n: int, folds: int, seed) -> list:
     """Disjoint index sets partitioning 0..n-1; sizes differ by at most 1."""
-    if folds < 1:
-        raise InvalidParams("folds must be at least 1")
+    folds = check_count("folds", folds, 1)
     if n < folds:
         raise TooFewSamples(f"cannot split {n} samples into {folds} folds")
     perm = np.random.default_rng(seed).permutation(n)
@@ -163,7 +158,7 @@ def _predict_fold(method, masked, test_idx, fitted) -> tuple:
 
 
 def _replicate_seeds(seed, replicate: int) -> tuple:
-    state = np.random.SeedSequence([int(seed), int(replicate)]).generate_state(2)
+    state = np.random.SeedSequence([seed, replicate]).generate_state(2)
     return int(state[0]), int(state[1])
 
 
@@ -324,15 +319,14 @@ def bench_scaling(
     covers training only. Each grid point is trained once untimed first,
     and each path's first point until about 1.5 s of training has passed.
     """
-    n_grid = [int(n) for n in n_grid]
+    n_grid = [check_count("n_grid entry", n, 1) for n in n_grid]
     if len(n_grid) < 4:
         raise InsufficientGrid("need at least 4 grid points")
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise InsufficientGrid("grid must be strictly ascending")
     if n_grid[-1] < 8 * n_grid[0]:
         raise InsufficientGrid("grid must span at least an 8x range")
-    if runs < 1:
-        raise InvalidParams("runs must be at least 1")
+    runs = check_count("runs", runs, 1)
     if not paths or len(set(paths)) != len(paths):
         raise InvalidParams("paths must be non-empty and must not repeat")
     unknown = [p for p in paths if p not in (PATH_FAST, PATH_REFERENCE)]

@@ -52,6 +52,7 @@ from .errors import (
     NotFitted,
     NumericOverflow,
     SingularCovariance,
+    check_count,
 )
 from .kernels import _inner
 
@@ -175,7 +176,7 @@ def fit_lda(Z, y, num_classes: int) -> LdaModel:
     if Z.ndim != 2 or y.ndim != 1 or Z.shape[0] != y.shape[0]:
         raise DimensionMismatch("Z must be (m, d) with one label per row")
     m, d = Z.shape
-    k = int(num_classes)
+    k = check_count("num_classes", num_classes, 1)
     if m < k + 1:
         raise InvalidParams(
             f"need at least {k + 1} training rows to pool covariance, got {m}"

@@ -6,7 +6,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import InvalidParams
+from .errors import InvalidParams, check_count
 
 ENV_THREADS = "KEC_THREADS"
 
@@ -17,24 +17,20 @@ _worker = threading.local()
 def resolve_threads(threads=None) -> int:
     """Explicit value, else the KEC_THREADS env var, else machine parallelism.
 
-    An explicit or KEC_THREADS count below 1, or a KEC_THREADS value that
-    is not an integer, raises InvalidParams.
+    An explicit or KEC_THREADS count that is not an integer of at least 1
+    raises InvalidParams (``errors.check_count``).
     """
-    source = "thread count"
-    if threads is None:
-        env = os.environ.get(ENV_THREADS)
-        if not env:
-            return os.cpu_count() or 1
-        try:
-            threads, source = int(env), ENV_THREADS
-        except ValueError:
-            raise InvalidParams(
-                f"{ENV_THREADS} must be an integer, got {env!r}"
-            ) from None
-    threads = int(threads)
-    if threads < 1:
-        raise InvalidParams(f"{source} must be at least 1, got {threads}")
-    return threads
+    if threads is not None:
+        return check_count("threads", threads, 1)
+    env = os.environ.get(ENV_THREADS)
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return check_count(ENV_THREADS, int(env), 1)
+    except ValueError:
+        raise InvalidParams(
+            f"{ENV_THREADS} must be an integer, got {env!r}"
+        ) from None
 
 
 def _as_worker(fn):
@@ -51,11 +47,11 @@ def _as_worker(fn):
 def fan_out_width(threads: int) -> int:
     """Threads a ``map_ordered`` call made here with ``threads`` would use.
 
-    That is ``threads`` at the top level and 1 on a fan-out's worker,
-    where a nested call runs inline. A caller that splits its work into
-    items sizes them from this, not from ``threads``.
+    That is ``threads`` (an integer of at least 1; no clamp applies) at
+    the top level and 1 on a fan-out's worker, where a nested call runs
+    inline. A caller that splits its work into items sizes them from this.
     """
-    return 1 if getattr(_worker, "active", False) else max(1, threads)
+    return 1 if getattr(_worker, "active", False) else threads
 
 
 def map_ordered(fn, items, threads: int = 1) -> list:
@@ -67,9 +63,10 @@ def map_ordered(fn, items, threads: int = 1) -> list:
     the threads busy to the end. There is one level of fan-out: a call
     made from inside another call's worker (a fit's (kernel, row block)
     items inside a cross-validation replicate) runs its items inline on
-    that worker's thread, so the busy threads never outnumber
-    ``threads`` of the outermost call.
+    that worker's thread, so the busy threads never outnumber the
+    outermost call's ``threads``, an integer of at least 1 (no clamp applies).
     """
+    threads = check_count("threads", threads, 1)
     items = list(items)
     if len(items) <= 1 or fan_out_width(threads) <= 1:
         return [fn(item) for item in items]

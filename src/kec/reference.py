@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import Dataset, validate
+from .data import Dataset, _label_stats
 from .encoder import build_weights
 from .kernels import kernel_gram
 
 
 def embed_reference(dataset: Dataset, kernel="linear") -> np.ndarray:
-    """Embed all rows as A @ W with A the full Gram matrix; O(n^2 p)."""
-    stats = validate(dataset)
+    """Rows as A @ W, A the full Gram matrix, in O(n^2 p); labels checked first."""
+    stats = _label_stats(dataset)
     a = kernel_gram(dataset.features, kernel)
     w = build_weights(dataset.labels, stats).dense()
     return a @ w

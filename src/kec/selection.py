@@ -26,6 +26,7 @@ from .errors import (
     NotFitted,
     NumericOverflow,
     ShapeMismatch,
+    check_count,
 )
 from .kernels import (
     BASELINE_KERNEL,
@@ -240,8 +241,8 @@ def fit(
     per-kernel step fits the LDA on the training rows and scores the
     cross-entropy. Rows embed independently, so the result is bitwise
     the same for every thread count and schedule. The candidate set must
-    contain the inner product, which anchors the switching rule, and
-    ``switch_threshold`` must be finite and greater than 0.
+    contain the inner product, which anchors the switching rule. Both
+    ``switch_threshold`` (finite, > 0) and ``threads`` (integer >= 1) are checked.
 
     Each ``KernelScore.seconds`` is the time its branch cost, on a
     monotonic clock: the fit's shared set-up (label checks, weights, class
@@ -265,6 +266,7 @@ def fit(
     features. Its items are cut to each block with ``row_slice``.
     """
     _check_switch_threshold(switch_threshold)
+    threads = check_count("threads", threads, 1)
     candidates = _candidates(kernels)
     if not candidates:
         raise NoBaselineKernel("kernel list is empty")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .errors import InvalidParams, UnsupportedSetting
+from .errors import InvalidParams, UnsupportedSetting, check_count
 
 UNIFORM_HD = "uniform-hd"
 UNIFORM_NOISE = "uniform-noise"
@@ -63,12 +63,8 @@ class SimSetting:
             raise InvalidParams(
                 f"unknown setting {self.name!r}; expected one of {SETTINGS}"
             )
-        if self.n < 1:
-            raise InvalidParams("n must be at least 1")
-        if self.num_classes < 1:
-            raise InvalidParams("num_classes must be at least 1")
-        if self.seed < 0:
-            raise InvalidParams(f"seed must be non-negative, got {self.seed}")
+        for name, low in ("n", 1), ("p", 1), ("num_classes", 1), ("seed", 0):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), low))
         if self.p < self.num_classes:
             raise InvalidParams(
                 f"p must be >= num_classes so every class has a signal "

@@ -17,13 +17,15 @@ from scipy.stats import rankdata
 
 import kec.evaluation as evaluation
 from kec import Dataset, embed, fit, predict_new
-from kec.errors import KecError, NonFiniteFeature
-from kec.evaluation import EvalConfig, cross_validate, kfold_split
+from kec.errors import InvalidParams, KecError, NonFiniteFeature
+from kec.evaluation import EvalConfig, bench_scaling, cross_validate, kfold_split
 from kec.cli import main
 from kec.io import load_model, read_csv, save_model, write_csv
 from kec.lda import LdaModel, discriminant_scores, fit_lda, posterior, predict
+from kec.parallel import resolve_threads
 from kec.selection import cross_entropy
 from kec.reference import embed_reference
+from kec.simgen import SimSetting, generate
 from kec.kernels import (
     BUILTIN_KERNELS,
     DEFAULT_KERNELS,
@@ -844,3 +846,98 @@ def test_mutated_csv_never_crashes_train_or_predict(
         assert err.count("\n") <= 1, err
     if code == 0:
         assert "nan" not in out.read_text().lower()
+
+
+_TINY = random_dataset(np.random.default_rng(3), 30, 4, 2)
+
+
+def _fit_bytes(model):
+    return model.cross_entropies.tobytes() + predict_new(model, _TINY.features)[1].tobytes()
+
+
+def _cv_records(**config):
+    config = {"folds": 2, "replicates": 1, "methods": ("fast-linear",), **config}
+    return _records(cross_validate(_TINY, EvalConfig(**config)))
+
+
+def _sim_bytes(**size):
+    ds = generate(SimSetting(**{"name": "uniform-hd", "n": 12, "p": 4, "num_classes": 2, **size}))
+    return ds.features.tobytes() + ds.labels.tobytes()
+
+
+def _bench(n_grid=(8, 16, 32, 64), runs=1):
+    setting = SimSetting("normal-hd", n=1, p=3, num_classes=2)
+    return bench_scaling(setting, list(n_grid), runs=runs, paths=("fast",))
+
+
+# Entry point -> (parameter, its minimum, a valid value, the call with the
+# parameter set to v and what it returns). bench_scaling returns times, so
+# it has no valid value to compare.
+_COUNT_PARAMETERS = {
+    "fit threads": ("threads", 1, 2, lambda v: _fit_bytes(fit(_TINY, threads=v))),
+    "EvalConfig folds": ("folds", 2, 3, lambda v: _cv_records(folds=v)),
+    "EvalConfig replicates": ("replicates", 1, 2, lambda v: _cv_records(replicates=v)),
+    "EvalConfig seed": ("seed", 0, 7, lambda v: _cv_records(seed=v)),
+    "EvalConfig threads": ("threads", 1, 2, lambda v: _cv_records(threads=v)),
+    "SimSetting n": ("n", 1, 9, lambda v: _sim_bytes(n=v)),
+    "SimSetting p": ("p", 1, 3, lambda v: _sim_bytes(p=v)),
+    "SimSetting num_classes": ("num_classes", 1, 3, lambda v: _sim_bytes(num_classes=v)),
+    "SimSetting seed": ("seed", 0, 5, lambda v: _sim_bytes(seed=v)),
+    "Dataset num_classes": (
+        "num_classes", 1, 2,
+        lambda v: _fit_bytes(fit(Dataset(_TINY.features, _TINY.labels, v))),
+    ),
+    "kfold_split folds": (
+        "folds", 1, 3, lambda v: [f.tobytes() for f in kfold_split(10, v, 0)]
+    ),
+    "fit_lda num_classes": (
+        "num_classes", 1, 2,
+        lambda v: fit_lda(_TINY.features, _TINY.labels, v).means.tobytes(),
+    ),
+    "bench_scaling runs": ("runs", 1, None, lambda v: _bench(runs=v)),
+    "bench_scaling n_grid": ("n_grid", 1, None, lambda v: _bench(n_grid=(v, 16, 32, 64))),
+    "resolve_threads": ("threads", 1, 3, resolve_threads),
+}
+
+_NUMPY_INTEGERS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32, np.uint64]
+
+
+def _not_counts(least, none):
+    """Values a count parameter with minimum ``least`` must refuse."""
+    return st.one_of(
+        st.integers(least - 10**6, least - 1),
+        st.integers(least - 3, least - 1).map(np.int64),
+        st.booleans(),
+        st.integers(-3, 9).map(float),
+        st.floats().filter(lambda f: not f.is_integer()),
+        st.floats(-3, 9, width=32).map(np.float32) | st.floats(-3, 9).map(np.float64),
+        st.text(max_size=3),
+        *([st.none()] if none else []),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    entry=st.sampled_from(sorted(_COUNT_PARAMETERS)),
+    data=st.data(),
+    numpy_int=st.sampled_from(_NUMPY_INTEGERS),
+)
+def test_every_count_parameter_takes_one_rule(entry, data, numpy_int):
+    """A count, seed or thread count is a Python or numpy integer, not a
+    bool, of at least its minimum; anything else raises InvalidParams with
+    one line naming the parameter, and a numpy integer gives the output of
+    the same Python int bitwise.
+
+    resolve_threads(None) means the default, so None is not drawn for it.
+    """
+    name, least, valid, call = _COUNT_PARAMETERS[entry]
+    value = data.draw(_not_counts(least, none=entry != "resolve_threads"), label="value")
+    with pytest.raises(InvalidParams) as info:
+        call(value)
+    message = str(info.value)
+    assert "\n" not in message and message.startswith(name), message
+    below = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    bound = "non-negative" if least == 0 else f"at least {least}"
+    assert (f"must be {bound}" if below else "must be an integer") in message, message
+    if valid is not None:
+        assert call(numpy_int(valid)) == call(valid)

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from kec import Dataset, validate
+from kec.errors import EmptyTrainingSet, NonFiniteFeature
 from kec.kernels import kernel_gram
 from kec.reference import embed_reference
 
@@ -45,3 +47,13 @@ def test_unknown_rows_still_embedded():
     z = embed_reference(masked, "linear")
     assert z.shape == (30, 3)
     assert np.all(np.isfinite(z[5:10]))
+
+
+@pytest.mark.parametrize("name", ["linear", "distance", "spearman"])
+def test_labels_are_checked_before_the_gram_checks_features(name):
+    x = np.ones((4, 3))
+    x[2, 1] = np.nan
+    with pytest.raises(NonFiniteFeature):
+        embed_reference(Dataset(x, [1, 2, 0, 2], 2), name)
+    with pytest.raises(EmptyTrainingSet):
+        embed_reference(Dataset(x, [0, 0, 0, 0], 2), name)
