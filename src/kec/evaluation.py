@@ -96,8 +96,14 @@ class EvalReport:
 
 
 def kfold_split(n: int, folds: int, seed) -> list:
-    """Disjoint index sets partitioning 0..n-1; sizes differ by at most 1."""
+    """Disjoint index sets partitioning 0..n-1; sizes differ by at most 1.
+
+    ``n`` (at least 1), ``folds`` (at least 1) and ``seed`` (at least 0)
+    are checked with ``errors.check_count``.
+    """
+    n = check_count("n", n, 1)
     folds = check_count("folds", folds, 1)
+    seed = check_count("seed", seed, 0)
     if n < folds:
         raise TooFewSamples(f"cannot split {n} samples into {folds} folds")
     perm = np.random.default_rng(seed).permutation(n)

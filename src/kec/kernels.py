@@ -10,29 +10,38 @@ Three built-in kernels are provided:
   average ranks; a constant rank vector yields 0 rather than NaN). Rows
   are ordered by numpy's value sort, O(p log p), of packed keys: each
   value's float64 bits with its column written into the low
-  bit_length(p - 1) mantissa bits. A row keeps that order only when the
-  values read back in it are proven ascending (non-decreasing); any
-  other row (values too close for the packed key) is ordered by an
-  unstable argsort. Every ascending order gives the same average ranks,
-  so the path a row took never shows in its ranks, and only rows that
-  have ties pay for averaging their runs.
+  bit_length(p - 1) mantissa bits. A row keeps that order when it is
+  proven ascending: by the sorted keys alone when their high bits
+  strictly increase, otherwise by its values read back in that order
+  (non-decreasing); any other row (values too close for the packed key)
+  is ordered by an unstable argsort. Every ascending order gives the
+  same average ranks, so the path a row took never shows in its ranks,
+  and only rows that have ties pay for averaging their runs.
 
 Each scalar kernel is ``kernel_cross`` on a one-row X and a one-row U, so
 ``kernel_cross(X, U, k)[i, j]`` equals the scalar value bitwise by
-construction. The cross step is numpy's own C sum-of-products loop,
-``np.einsum`` with ``optimize=False``: the products of x and u for
-linear and distance, and of their centered ranks for spearman. That loop
-sums each entry over the trailing axis in an order that depends on p
-alone, so a row's value never depends on which other rows share its
-call. No BLAS is involved: a BLAS matrix product's accumulation order
-depends on the shape of the call. The cost is O(nKp).
+construction. The cross step of linear and distance is numpy's own C
+sum-of-products loop, ``np.einsum`` with ``optimize=False``, over the
+products of x and u. That loop sums each entry over the trailing axis in
+an order that depends on p alone, so a row's value never depends on
+which other rows share its call. A BLAS matrix product's accumulation
+order depends on the shape of the call, so it is used only where every
+order gives the same sum: the spearman numerator, the products of
+centered ranks, is a BLAS product while p <= 2^17. Its terms are
+multiples of 1/4 and its partial sums are at most p(p - 1)^2/4 < 2^51 in
+magnitude, so every one is exact and each entry is its exact sum,
+whatever rows share the call; longer rows take the einsum loop. It is
+computed in row pieces small enough that the BLAS runs each on the
+calling thread. The cost is O(nKp).
 
 Distance takes the squared distance s = ||x - u||^2 from the expansion
 S - 2 x.u, with S = ||x||^2 + ||u||^2 from the squared row norms that
-``_prepare`` computes beside the norms. Each of its three p-term sums is
-within p eps times the sum of its terms' magnitudes, in any order (eps =
-2^-53), and those magnitudes sum to at most S/2 for x.u; so, to first
-order in eps, the computed value s' obeys
+``_prepare`` computes beside the norms, and x.u from the linear cross (an
+operand may carry the linear cross it already had, ``_with_inner``: the
+same einsum on the same rows). Each of its three p-term sums is within p
+eps times the sum of its terms' magnitudes, in any order (eps = 2^-53),
+and those magnitudes sum to at most S/2 for x.u; so, to first order in
+eps, the computed value s' obeys
 
     |s' - s| <= (2p + 1) eps S + eps s.
 
@@ -55,10 +64,12 @@ nothing for linear and custom kernels. Each ``Kernel`` owns the function
 that computes that state. An operand used many times
 (a model's class means, a cross-validation replicate's features) is
 prepared once and passed to ``kernel_cross`` as it is; one prepared for
-another kernel is prepared again from its rows. State is per row, so
-``_Prepared.row_slice`` cuts a prepared operand to a block of rows,
-bitwise equal to preparing that block: a fit embeds a replicate's
-prepared features block by block without preparing them again.
+another kernel keeps its checked rows and gets only the new state, so a
+fit converts and checks each block of rows once for all its kernels.
+State is per row, so ``_Prepared.row_slice`` cuts a prepared operand to
+a block of rows, bitwise equal to preparing that block: a fit embeds a
+replicate's prepared features block by block without preparing them
+again.
 ``kernel_gram`` has no bitwise contract and uses BLAS for the inner product.
 """
 
@@ -139,6 +150,20 @@ def _distance_state(A: np.ndarray) -> tuple:
 # squares (at most p^3/12 < 2^51) is exact in float64, in any order.
 _EXACT_SS_LENGTH = 1 << 18
 
+# Likewise every product of two centered ranks is a multiple of 1/4 of
+# magnitude at most (p - 1)^2/4. Up to this row length every partial sum
+# of a spearman numerator (at most p(p - 1)^2/4 < 2^51) is exact in any
+# order, with or without fused multiply-adds, so a BLAS matrix product
+# gives it bitwise as numpy's einsum loop does, whatever rows share it.
+_EXACT_NUM_LENGTH = 1 << 17
+
+# Multiply-adds per BLAS call of the spearman numerator. A call this
+# small stays in cache and runs on its caller's thread (OpenBLAS threads
+# a matrix product only from 2^18), so it adds no BLAS threads to a fit's
+# fan-out: with OpenBLAS unpinned, whole-block products made a two-thread
+# 10000 x 400 fit about 50% slower than the einsum loop (2-vCPU x86 VM).
+_BLAS_CALL_PRODUCTS = 1 << 17
+
 
 def _rank_state(a) -> tuple:
     """Centered average ranks along the trailing axis and their sums of squares.
@@ -158,13 +183,13 @@ def _rank_state(a) -> tuple:
     flat = a.reshape(math.prod(a.shape[:-1]), p)
     # One scatter through the flat indices of each row's ascending order
     # writes the ranks.
-    order, s, tie_rows = _ascending_order(flat)
+    order, tie_rows, tie_sorted = _ascending_order(flat)
     sorted_c = np.arange(p) - (p - 1) / 2.0
     c = np.empty(flat.shape)
     c.reshape(-1)[order] = sorted_c
     ss = np.full(flat.shape[0], (p**3 - p) / 12)  # sum of sorted_c ** 2
     if tie_rows.size:
-        c.reshape(-1)[order[tie_rows]] = _tied_sorted_ranks(s[tie_rows], sorted_c)
+        c.reshape(-1)[order[tie_rows]] = _tied_sorted_ranks(tie_sorted, sorted_c)
         ss[tie_rows] = np.sum(c[tie_rows] ** 2, axis=-1)
     if p > _EXACT_SS_LENGTH:
         ss = np.sum(c * c, axis=-1)
@@ -172,17 +197,22 @@ def _rank_state(a) -> tuple:
 
 
 def _ascending_order(flat) -> tuple:
-    """Flat indices of each row's values in ascending order, and those values.
+    """Flat indices of each row's values in ascending order; the tied rows.
 
-    Also returns the rows whose sorted values are not strictly ascending:
-    exactly the rows that hold a tie. Every value must be finite.
+    Also returns the rows whose sorted values are not strictly ascending,
+    exactly the rows that hold a tie, and their sorted values. Every value
+    must be finite.
 
     With b = bit_length(p - 1), each value's float64 bits have their low b
     mantissa bits replaced by its column, and the rows of these keys are
     sorted by value; a finite value keeps a finite key, so they hold each
-    column once. A row keeps that order when the values gathered in it are
-    non-decreasing. Any other row, one whose values within 2^b ulps of
-    each other came out of order, is ordered by an unstable argsort.
+    column once. Clearing a finite value's low mantissa bits never reverses
+    the order of two values, so a row whose sorted keys, with those bits
+    cleared, read strictly increasing holds strictly increasing values: it
+    keeps the key order and has no tie. Only the other rows are gathered. Of
+    these, a row keeps the key order when its gathered values are
+    non-decreasing; any other row, one whose values within 2^b ulps of each
+    other came out of order, is ordered by an unstable argsort.
     """
     m, p = flat.shape
     b = max(p - 1, 0).bit_length()
@@ -190,22 +220,26 @@ def _ascending_order(flat) -> tuple:
     keys = flat.view(np.int64) & np.int64(~mask)
     keys |= np.arange(p)
     keys.view(np.float64).sort(axis=-1)
+    high = (keys & np.int64(~mask)).view(np.float64)
+    rows = np.flatnonzero((high[:, 1:] <= high[:, :-1]).any(axis=-1))
+    del high
     order = np.bitwise_and(keys, mask, out=keys)
     order += np.arange(m)[:, None] * p
-    s = np.take(flat, order)
+    if not rows.size:
+        return order, rows, np.empty((0, p))
+    s = np.take(flat, order[rows])
     strict = (s[:, 1:] > s[:, :-1]).all(axis=-1)
     unstrict = np.nonzero(~strict)[0]
     if unstrict.size:
         t = s[unstrict]
         redo = unstrict[~(t[:, 1:] >= t[:, :-1]).all(axis=-1)]
         if redo.size:
-            o = np.argsort(flat[redo], axis=-1)
-            o += redo[:, None] * p
-            order[redo] = o
+            o = np.argsort(flat[rows[redo]], axis=-1)
+            o += rows[redo, None] * p
+            order[rows[redo]] = o
             s[redo] = redone = np.take(flat, o)
             strict[redo] = (redone[:, 1:] > redone[:, :-1]).all(axis=-1)
-            unstrict = np.nonzero(~strict)[0]
-    return order, s, unstrict
+    return order, rows[~strict], s[~strict]
 
 
 def _tied_sorted_ranks(s, sorted_c) -> np.ndarray:
@@ -228,12 +262,17 @@ class _Prepared:
     """An operand's rows plus their precomputed state for one kernel.
 
     Reports the rows' shape and converts to them as an array, so shape
-    checks and hashing see the plain matrix.
+    checks and hashing see the plain matrix. ``inner`` may hold the linear
+    cross of these rows with another operand's rows, as (those rows, the
+    (n, K) matrix); a distance cross against that operand reads it as its
+    x.u (``_with_inner``). Preparing the operand for another kernel keeps
+    it; ``row_slice`` drops it.
     """
 
     rows: np.ndarray  # (n, p) float64, C-contiguous and aligned
     kernel: Kernel
     state: tuple
+    inner: tuple = ()
 
     @property
     def shape(self) -> tuple:
@@ -271,6 +310,16 @@ def _cross_inner(X: _Prepared, U: _Prepared) -> np.ndarray:
     return _inner(X.rows, U.rows)
 
 
+def _with_inner(X: _Prepared, U: _Prepared, inner: np.ndarray) -> _Prepared:
+    """X carrying ``inner``, its rows' linear cross with U's (``_cross_inner``).
+
+    A distance cross of the result with U (the same rows object) takes
+    ``inner`` as its x.u, which is bitwise what it would compute; against
+    any other operand it computes x.u itself.
+    """
+    return _Prepared(X.rows, X.kernel, X.state, (U.rows, inner))
+
+
 def _direct_sq_distances(X, U, direct, out) -> None:
     """out[i, j] = sum_s (X[i, s] - U[j, s])^2 where ``direct[i, j]``, from x - u.
 
@@ -306,11 +355,11 @@ def _sq_distances(X: _Prepared, U: _Prepared) -> np.ndarray:
     so only S can overflow), is computed from x - u (module docstring).
     """
     (_, sx), (_, su) = X.state, U.state
+    against, xu = X.inner or (None, None)
     X, U = X.rows, U.rows
     with np.errstate(over="ignore", invalid="ignore"):
         scale = sx[:, None] + su[None, :]
-        sq = _inner(X, U)
-        sq *= -2.0
+        sq = -2.0 * (xu if against is U else _inner(X, U))
         sq += scale
         scale *= (2 * X.shape[1] + 1) * 2.0**-27  # T (module docstring)
         kept = sq > scale
@@ -327,11 +376,25 @@ def _cross_distance(X: _Prepared, U: _Prepared) -> np.ndarray:
     return (nx[:, None] + nu[None, :] - d) / 2.0
 
 
+def _rank_products(cx: np.ndarray, cu: np.ndarray) -> np.ndarray:
+    """cx @ cu.T, as BLAS products of row pieces of at most _BLAS_CALL_PRODUCTS.
+
+    Exact for centered ranks while p <= _EXACT_NUM_LENGTH, so equal to
+    ``_inner(cx, cu)`` bitwise.
+    """
+    num = np.empty((cx.shape[0], cu.shape[0]))
+    step = max(1, _BLAS_CALL_PRODUCTS // max(1, cu.size))
+    for lo in range(0, cx.shape[0], step):
+        np.matmul(cx[lo : lo + step], cu.T, out=num[lo : lo + step])
+    return num
+
+
 def _cross_spearman(X: _Prepared, U: _Prepared) -> np.ndarray:
     if X.shape[1] < 2:
         raise DegenerateLength("spearman needs vectors of length >= 2")
     (cx, ssx), (cu, ssu) = X.state, U.state
-    num = _inner(cx, cu)
+    exact = X.shape[1] <= _EXACT_NUM_LENGTH
+    num = _rank_products(cx, cu) if exact else _inner(cx, cu)
     den = np.sqrt(ssx[:, None] * ssu[None, :])
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
 
@@ -414,7 +477,8 @@ def _prepare(A, kernel) -> _Prepared:
     """A as an operand of ``kernel``'s cross step, with its per-row state.
 
     An operand already prepared for the kernel is returned as it is; one
-    prepared for another kernel is prepared again from its rows. Raises
+    prepared for another kernel keeps its rows, already converted and
+    checked, and its ``inner``, and gets this kernel's state. Raises
     ``DimensionMismatch`` unless A is a matrix, and ``NonFiniteFeature``
     (the one finiteness check of kernel operands) if it holds NaN or +-inf.
     """
@@ -422,7 +486,7 @@ def _prepare(A, kernel) -> _Prepared:
     if isinstance(A, _Prepared):
         if A.kernel is k:
             return A
-        A = A.rows
+        return _Prepared(A.rows, k, k.state(A.rows), A.inner)
     # Aligned as well as contiguous: numpy's sum-of-products loop would
     # copy a misaligned operand in chunks of its buffer size and split
     # the sums of rows longer than that.

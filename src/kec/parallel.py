@@ -61,8 +61,8 @@ def map_ordered(fn, items, threads: int = 1) -> list:
     schedule; threads only change wall-clock time. Items are taken in
     input order, so a caller that lists its longest items first keeps
     the threads busy to the end. There is one level of fan-out: a call
-    made from inside another call's worker (a fit's (kernel, row block)
-    items inside a cross-validation replicate) runs its items inline on
+    made from inside another call's worker (a fit's row blocks inside a
+    cross-validation replicate) runs its items inline on
     that worker's thread, so the busy threads never outnumber the
     outermost call's ``threads``, an integer of at least 1 (no clamp applies).
     """

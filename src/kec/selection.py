@@ -33,9 +33,9 @@ from .kernels import (
     DEFAULT_KERNELS,
     DISTANCE_INDUCED,
     INNER_PRODUCT,
-    SPEARMAN_RANK,
     Kernel,
     _prepare,
+    _with_inner,
     resolve_kernel,
 )
 from .lda import LdaModel, fit_lda, posterior
@@ -53,14 +53,6 @@ DEFAULT_SWITCH_THRESHOLD = 0.7
 # switching rule keeps the baseline. At full experimental scale such
 # values underflow to exact ties; at desk scale they need this guard.
 SATURATED_CE = 1e-2
-
-# Dispatch rank of each built-in kernel's row blocks, slowest first, so
-# the longest items start at once and the short ones fill the gaps at the
-# end. Kernels not listed (custom callables on the generic Python loop)
-# rank 0. On a two-thread 10000 x 400 fit, dispatching in candidate order
-# instead took about a fifth longer.
-_BRANCH_COST_RANK = {SPEARMAN_RANK: 1, DISTANCE_INDUCED: 2, INNER_PRODUCT: 3}
-
 
 @dataclass(frozen=True)
 class KernelScore:
@@ -171,9 +163,9 @@ def _row_blocks(n: int, width: int) -> list:
     """Contiguous row slices covering 0..n-1 for a fan-out ``width`` wide.
 
     One block when the fan-out runs inline; otherwise two per thread, so
-    the slowest kernel is shared by every thread, the last item to finish
-    is short, and at two threads each item ranks a quarter of the rows.
-    Never more blocks than rows; sizes differ by at most one.
+    the last item to finish is short and at two threads each item ranks a
+    quarter of the rows. Never more blocks than rows; sizes differ by at
+    most one.
     """
     count = max(1, min(1 if width == 1 else 2 * width, n))
     bounds = [n * b // count for b in range(count + 1)]
@@ -230,26 +222,31 @@ def fit(
 
     Class stats, weights and class means are built once, and the class
     means are prepared once per kernel. The embedding step then fans out
-    over (kernel, row block) items on ``threads`` workers: each item
-    prepares its block of rows (ranks, row norms) and embeds it into that
-    kernel's preallocated (n, K) matrix, so ranking buffers are bounded
-    by the block. The block count comes from the threads the fan-out
-    really uses (``parallel.fan_out_width``): one block per kernel when
-    it runs inline, as on a worker of an enclosing fan-out, otherwise two
-    per thread, and never more than n. Items are dispatched slowest
-    kernel first (custom kernels, spearman, distance, linear). A second,
-    per-kernel step fits the LDA on the training rows and scores the
-    cross-entropy. Rows embed independently, so the result is bitwise
-    the same for every thread count and schedule. The candidate set must
-    contain the inner product, which anchors the switching rule. Both
-    ``switch_threshold`` (finite, > 0) and ``threads`` (integer >= 1) are checked.
+    over row blocks on ``threads`` workers. Each item embeds its block
+    for every candidate, into that kernel's preallocated (n, K) matrix:
+    it converts and checks the rows once (``kernels._prepare``), each
+    kernel's cross step derives its state from them (ranks, row norms),
+    so ranking buffers are bounded by the block, and the inner product
+    goes first, so that distance reuses the block's linear embedding as
+    its x.u. The block
+    count comes from the threads the fan-out really uses
+    (``parallel.fan_out_width``): one block when it runs inline, as on a
+    worker of an enclosing fan-out, otherwise two per thread, and never
+    more than n. A second, per-kernel step fits the LDA on the training
+    rows and scores the cross-entropy. Rows embed independently, so the
+    result is bitwise the same for every thread count and schedule. The
+    candidate set must contain the inner product, which anchors the
+    switching rule. Both ``switch_threshold`` (finite, > 0) and
+    ``threads`` (integer >= 1) are checked.
 
     Each ``KernelScore.seconds`` is the time its branch cost, on a
     monotonic clock: the fit's shared set-up (label checks, weights, class
     means and their preparation), plus the busy time of that kernel's
-    (kernel, row block) embed items, plus its LDA step. It is a sum of
-    work, not a span of wall time, so branches that ran side by side each
-    count their own.
+    embedding of each row block, plus its LDA step. The first kernel of a
+    block, the inner product when it is a candidate, pays for converting
+    and checking the block, and distance's x.u is paid by the inner
+    product. It is a sum of work, not a span of wall time, so branches
+    that ran side by side each count their own.
 
     A kernel whose embedding, LDA covariance or posteriors overflow
     float64 fails the whole fit with ``NumericOverflow``: the inner
@@ -263,7 +260,8 @@ def fit(
     ``_prepared`` is private to ``cross_validate``: a mapping from
     candidate Kernel to ``kernels._prepare(dataset.features, kernel)``,
     so the folds of one replicate share one preparation of their common
-    features. Its items are cut to each block with ``row_slice``.
+    features. Its items are cut to each block with ``row_slice``; a
+    candidate it lacks is prepared from the block's other operands.
     """
     _check_switch_threshold(switch_threshold)
     threads = check_count("threads", threads, 1)
@@ -288,29 +286,41 @@ def fit(
         if not np.isfinite(class_means).all():
             validate(dataset)
             _finite(class_means, "the class means")
-        means = [_prepare(class_means, k) for k in candidates]
+        U = _prepare(class_means, INNER_PRODUCT)
+        means = [_prepare(U, k) for k in candidates]
     prepared = _prepared or {}
     embeddings = [np.empty((dataset.n, dataset.num_classes)) for _ in candidates]
     spent = [time.perf_counter() - start] * len(candidates)
-
-    def embed_block(item):
-        m, rows = item
-        start = time.perf_counter()
-        kernel = candidates[m]
-        source = prepared.get(kernel)
-        X = dataset.features[rows] if source is None else source.row_slice(rows)
-        with np.errstate(over="ignore", invalid="ignore"):
-            embeddings[m][rows] = embed(X, means[m], kernel)
-        return time.perf_counter() - start
-
-    dispatch = sorted(
-        range(len(candidates)),
-        key=lambda m: _BRANCH_COST_RANK.get(candidates[m], 0),
+    # The inner product goes first in a block, so distance can take its x.u.
+    order = sorted(
+        range(len(candidates)), key=lambda m: candidates[m] is not INNER_PRODUCT
     )
+
+    def embed_block(rows):
+        busy = [0.0] * len(candidates)
+        X = xu = None
+        for m in order:
+            start = time.perf_counter()
+            kernel = candidates[m]
+            with np.errstate(over="ignore", invalid="ignore"):
+                if kernel in prepared:
+                    X = prepared[kernel].row_slice(rows)
+                elif X is None:
+                    # Converted and checked here, once; each kernel's state
+                    # is added to these rows inside its cross step.
+                    X = _prepare(dataset.features[rows], INNER_PRODUCT)
+                if kernel is DISTANCE_INDUCED and xu is not None:
+                    X = _with_inner(X, means[m], xu)
+                Z = embed(X, means[m], kernel)
+            embeddings[m][rows] = Z
+            if kernel is INNER_PRODUCT:
+                xu = Z
+            busy[m] = time.perf_counter() - start
+        return busy
+
     blocks = _row_blocks(dataset.n, fan_out_width(threads))
-    items = [(m, rows) for m in dispatch for rows in blocks]
-    for (m, _), busy in zip(items, map_ordered(embed_block, items, threads=threads)):
-        spent[m] += busy
+    for busy in map_ordered(embed_block, blocks, threads=threads):
+        spent = [a + b for a, b in zip(spent, busy)]
     scores = map_ordered(
         lambda m: _score_kernel(
             candidates[m],

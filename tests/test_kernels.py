@@ -199,6 +199,23 @@ class TestKernelCross:
                 for j in range(4):
                     assert out[i, j] == scalar(a[i], b[j])
 
+    @pytest.mark.parametrize("p", [1 << 17, (1 << 17) + 1])
+    def test_spearman_numerator_is_the_einsum_sum_at_the_blas_bound(self, p):
+        # Up to p = 2^17 the numerator is a BLAS product, exact in any order;
+        # past it, the einsum loop itself. Rows hold ties, and a perfect and
+        # a reversed correlation, which give the largest numerators.
+        rng = np.random.default_rng(24)
+        U = np.round(rng.normal(size=(2, p)), 1)
+        U[1] = rng.permutation(p)
+        X = np.vstack([np.round(rng.normal(size=(2, p)), 2), U[1], -U[1]])
+        (cx, ssx), (cu, ssu) = _rank_state(X), _rank_state(U)
+        num = np.einsum("ij,kj->ik", cx, cu, optimize=False)
+        den = np.sqrt(ssx[:, None] * ssu[None, :])
+        want = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+        got = kernel_cross(X, U, "spearman")
+        assert got.tobytes() == want.tobytes()
+        assert got[2, 1] == 1.0 and got[3, 1] == -1.0
+
     def test_column_mismatch(self):
         with pytest.raises(DimensionMismatch):
             kernel_cross(np.zeros((3, 2)), np.zeros((2, 3)), "linear")

@@ -7,6 +7,7 @@ import math
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,9 +16,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
+import kec.encoder
 import kec.evaluation as evaluation
 from kec import Dataset, embed, fit, predict_new
-from kec.errors import InvalidParams, KecError, NonFiniteFeature
+from kec.errors import (
+    InvalidParams,
+    KecError,
+    NonFiniteFeature,
+    NumericOverflow,
+    SingularCovariance,
+)
 from kec.evaluation import EvalConfig, bench_scaling, cross_validate, kfold_split
 from kec.cli import main
 from kec.io import load_model, read_csv, save_model, write_csv
@@ -210,6 +218,86 @@ def test_distance_cancellation_path(case, p, n, k, seed):
         assert _same_bits(_sq_distances(PX, PU.row_slice(slice(j, j + 1))), sq[:, j : j + 1])
     assert _same_bits(out, np.array(scalar).reshape(n, k))
     assert np.all(np.isfinite(out[np.isfinite(want)]))
+
+
+def _fit_dataset(case, n, p, k, seed):
+    """A dataset on whose class means the rows of a case land.
+
+    For a cancellation case the n rows X are unlabelled and class j has
+    four training rows u_j (1 + z_r), with the z_r centred, whose mean is
+    u_j to within rounding, so X meets the class means near cancellation
+    as it meets U. "ranks" is rescaled rank patterns rounded to one
+    decimal (ties), whose first 2k rows are relabelled so that every
+    class is present.
+    """
+    rng = np.random.default_rng(seed)
+    if case == "ranks":
+        ds = rescaled_pattern_dataset(n=n + 2 * k, p=p, k=k, seed=seed)
+        labels = ds.labels.copy()
+        labels[: 2 * k] = np.tile(np.arange(1, k + 1), 2)
+        return Dataset(np.round(ds.features, 1), labels, k)
+    X, U = _cancellation_operands(case, n, p, k, rng)
+    z = 0.1 * rng.normal(size=(4, k, p))
+    z -= z.mean(axis=0)
+    labels = np.concatenate(
+        [np.zeros(n, dtype=np.int64), np.tile(np.arange(1, k + 1), 4)]
+    )
+    return Dataset(np.vstack([X, *(U * (1 + z))]), labels, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(["near", "equal", "offset", "huge", "ranks"]),
+    p=st.integers(2, 48),
+    n=st.integers(1, 12),
+    k=st.integers(2, 4),
+    threads=st.sampled_from([1, 2]),
+    shared=st.sampled_from([(), DEFAULT_KERNELS, ("spearman",)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case="near", p=40, n=12, k=4, threads=2, shared=(), seed=0)
+@example(case="equal", p=7, n=5, k=3, threads=2, shared=DEFAULT_KERNELS, seed=1)
+@example(case="offset", p=30, n=6, k=2, threads=1, shared=("spearman",), seed=2)
+@example(case="huge", p=48, n=4, k=3, threads=2, shared=(), seed=3)
+@example(case="ranks", p=20, n=10, k=3, threads=2, shared=DEFAULT_KERNELS, seed=4)
+def test_fit_embeds_each_kernel_like_kernel_cross(case, p, n, k, threads, shared, seed):
+    """Every embedding of a fit is kernel_cross of its rows and class means, bitwise.
+
+    A fit checks each row block once for all its kernels and takes
+    distance's x.u from the block's linear embedding; each of its cross
+    steps equals kernel_cross on plain copies of the same operands, and
+    each kernel's steps cover every row once. A fit that succeeds holds
+    kernel_cross(features, class means) for each candidate. Features are
+    raw, or prepared for every candidate or for spearman alone, as a
+    cross-validation replicate passes them; threads 1 and 2.
+    """
+    ds = _fit_dataset(case, n, p, k, seed)
+    prepared = {
+        BUILTIN_KERNELS[name]: _prepare(ds.features, name) for name in shared
+    }
+    calls = []
+    real_cross = kec.encoder.kernel_cross
+
+    def spy_cross(x, u, kernel):
+        out = real_cross(x, u, kernel)
+        calls.append((np.array(x), np.array(u), kernel, out))  # list.append is atomic
+        return out
+
+    with mock.patch.object(kec.encoder, "kernel_cross", spy_cross):
+        try:
+            model = fit(ds, threads=threads, _prepared=prepared)
+        except (NumericOverflow, SingularCovariance):
+            model = None  # the LDA step failed; every embedding was made
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, u, kernel, out in calls:
+            assert _same_bits(out, kernel_cross(x, u, kernel))
+        for name in DEFAULT_KERNELS:
+            kernel = BUILTIN_KERNELS[name]
+            assert sum(len(x) for x, _, kk, _ in calls if kk is kernel) == ds.n
+        if model is not None:
+            for score in model.scores:
+                want = kernel_cross(ds.features, model.class_means, score.kernel)
+                assert _same_bits(score.embedding, want)
 
 
 # A small alphabet makes ties common; signed zeros beside the smallest
@@ -887,8 +975,14 @@ _COUNT_PARAMETERS = {
         "num_classes", 1, 2,
         lambda v: _fit_bytes(fit(Dataset(_TINY.features, _TINY.labels, v))),
     ),
+    "kfold_split n": (
+        "n", 1, 10, lambda v: [f.tobytes() for f in kfold_split(v, 1, 0)]
+    ),
     "kfold_split folds": (
         "folds", 1, 3, lambda v: [f.tobytes() for f in kfold_split(10, v, 0)]
+    ),
+    "kfold_split seed": (
+        "seed", 0, 3, lambda v: [f.tobytes() for f in kfold_split(10, 2, v)]
     ),
     "fit_lda num_classes": (
         "num_classes", 1, 2,

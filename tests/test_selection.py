@@ -295,6 +295,18 @@ class TestFit:
             assert a.embedding.tobytes() == b.embedding.tobytes()
             assert a.model.pooled_cov.tobytes() == b.model.pooled_cov.tobytes()
 
+    @pytest.mark.parametrize("row", [0, 12, 30, 49])
+    def test_non_finite_row_in_any_block_rejected(self, row):
+        # An unlabelled row leaves the class means finite, so only the one
+        # check of its block's rows can find it; at threads=2 the 50 rows
+        # make four blocks, and the rows above fall in each of them.
+        ds = random_dataset(np.random.default_rng(17), 50, 4, 2)
+        features, labels = ds.features.copy(), ds.labels.copy()
+        features[row, 1], labels[row] = np.nan, 0
+        for threads in (1, 2):
+            with pytest.raises(NonFiniteFeature):
+                fit(Dataset(features, labels, 2), threads=threads)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, value):
         ds = random_dataset(np.random.default_rng(17), 30, 4, 2)
