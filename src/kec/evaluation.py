@@ -1,14 +1,14 @@
 """Cross-validation, Monte-Carlo replication, and complexity-slope benchmarks.
 
 Within a replicate every method sees the same fold split, and the
-features are prepared, which checks them finite, once for each kernel
-the fast methods fit with. Test-fold labels are masked to 0 before the
-pipeline ever sees them; the held-out fold is then scored against the
-true labels. Errors aggregate over fold records (macro over folds, then
-replicates). Each fast method's fold record reads one branch of the
-fold's fits, on a monotonic clock: fast-multi the branch its fit chose,
-fast-linear always the inner-product branch, of fast-multi's fit or of
-its own (see ``cross_validate``).
+features are converted and checked finite once, then given the state of
+each kernel the fast methods fit with. Test-fold labels are masked to 0
+before the pipeline ever sees them; the held-out fold is then scored
+against the true labels. Errors aggregate over fold records (macro over
+folds, then replicates). A fold runs one fit for both fast methods, and
+each fast method's fold record reads one branch of it, on a monotonic
+clock: fast-multi the branch its fit chose, fast-linear always the
+inner-product branch (see ``cross_validate``).
 
 For a simulation setting, each replicate redraws the dataset; for a fixed
 dataset, replicates only re-split.
@@ -139,23 +139,21 @@ def _reference_fit(dataset: Dataset) -> tuple:
 def _predict_fold(method, masked, test_idx, fitted) -> tuple:
     """One method's held-out labels on a fold, and its seconds but for preparation.
 
-    ``fitted`` holds the fold's fits as ``(model, wall seconds)``, fast-multi's
-    first. The fit already embedded the held-out rows, and rows are
-    independent, so a branch gives the labels ``predict_new`` would. A
-    held-out posterior that is not finite raises ``NumericOverflow``.
+    ``fitted`` is the fold's one fit as ``(model, wall seconds)``. The fit
+    already embedded the held-out rows, and rows are independent, so a
+    branch gives the labels ``predict_new`` would. A held-out posterior
+    that is not finite raises ``NumericOverflow``.
     """
     start = time.perf_counter()
     if method == METHOD_REFERENCE:
         z, lda = _reference_fit(masked)
         predicted = _predict_held_out(lda, z[test_idx], "reference")
         return predicted, time.perf_counter() - start
+    model, spent = fitted
     if method == METHOD_FAST_MULTI:
-        model, spent = fitted[0]
         branch = next(s for s in model.scores if s.model is model.lda)
     else:
-        branch = next(
-            s for model, _ in fitted for s in model.scores if s.kernel is INNER_PRODUCT
-        )
+        branch = next(s for s in model.scores if s.kernel is INNER_PRODUCT)
         spent = branch.seconds
     predicted = _predict_held_out(
         branch.model, branch.embedding[test_idx], branch.kernel.name
@@ -175,41 +173,39 @@ def _run_replicate(data, config: EvalConfig, candidates: tuple, replicate: int) 
     else:
         dataset = data
     folds = kfold_split(dataset.n, config.folds, fold_seed)
-    # Each fold's fits: fast-multi's candidates, and the inner product for
-    # fast-linear unless a candidate is it, found by identity: a custom
-    # kernel named "linear" is another kernel.
-    uses = [candidates] if METHOD_FAST_MULTI in config.methods else []
-    if METHOD_FAST_LINEAR in config.methods and not any(
-        k is INNER_PRODUCT for use in uses for k in use
-    ):
-        uses.append((INNER_PRODUCT,))
-    # Preparing checks the features finite; fold fits check their labels.
-    # A state that overflows (row norms) is reported by the fit.
-    prepared, share = {}, {}
-    for kernel in (k for use in uses for k in use):
+    used = {METHOD_FAST_MULTI: candidates, METHOD_FAST_LINEAR: (INNER_PRODUCT,)}
+    used = {m: used[m] for m in config.methods if m in used}
+    use = used.get(METHOD_FAST_MULTI, (INNER_PRODUCT,))  # the fold's one fit
+    # Both fast methods are charged converting and checking the features,
+    # and each the states of its own kernels. A state that overflows (row
+    # norms) is reported by the fit; fold fits check their labels.
+    charge, fitted = dict.fromkeys(config.methods, 0.0), None
+    if used:
         start = time.perf_counter()
         with np.errstate(over="ignore", invalid="ignore"):
-            prepared[kernel] = _prepare(dataset.features, kernel)
-        share[kernel] = (time.perf_counter() - start) / config.folds
-    # A fast method's records share preparing the kernels it used.
-    used = {METHOD_FAST_MULTI: candidates, METHOD_FAST_LINEAR: (INNER_PRODUCT,)}
-    charge = {m: sum(share[k] for k in used.get(m, ())) for m in config.methods}
+            features = _prepare(dataset.features)
+            shared, state_s = time.perf_counter() - start, {}
+            for kernel in dict.fromkeys(k for ks in used.values() for k in ks):
+                start = time.perf_counter()
+                features = _prepare(features, kernel)
+                state_s[kernel] = time.perf_counter() - start
+        for method, ks in used.items():
+            charge[method] = (shared + sum(state_s[k] for k in ks)) / config.folds
     records = []
     for fold_idx, test_idx in enumerate(folds):
         masked_labels = dataset.labels.copy()
         masked_labels[test_idx] = 0
         masked = Dataset(dataset.features, masked_labels, dataset.num_classes)
-        fitted = []
-        for use in uses:
+        if used:
             start = time.perf_counter()
             model = fit(
                 masked,
                 use,
                 config.switch_threshold,
                 threads=config.threads,
-                _prepared=prepared,
+                _prepared=features,
             )
-            fitted.append((model, time.perf_counter() - start))
+            fitted = model, time.perf_counter() - start
         for method in config.methods:
             predicted, seconds = _predict_fold(method, masked, test_idx, fitted)
             error = float(np.mean(predicted != dataset.labels[test_idx]))
@@ -225,30 +221,32 @@ def cross_validate(data, config: EvalConfig, kernels=DEFAULT_KERNELS) -> EvalRep
     ``data`` is either a fixed Dataset (re-split per replicate) or a
     SimSetting (redrawn per replicate). Replicates are independent and
     run on ``config.threads`` workers; the collect is ordered, so the
-    report never depends on the schedule. A fit inside a replicate runs
-    its kernel branches inline on the replicate's thread (one fan-out
+    report never depends on the schedule. A fit inside a replicate
+    embeds its row blocks inline on the replicate's thread (one fan-out
     level).
 
-    A replicate's folds share its features, so they are prepared (checked
-    finite, with their ranks or row norms) once per replicate for each
-    kernel a fast method fits with, and reused by every fold's fit. Each
-    fold runs one fit of fast-multi's candidates, when fast-multi runs,
-    and one of the inner product alone, when fast-linear runs and no
-    candidate is ``kernels.INNER_PRODUCT`` itself (a custom kernel named
-    "linear" is another kernel). Held-out rows are predicted from the
-    embedding the fit already computed for them.
+    A replicate's folds share its features, so they are prepared once per
+    replicate as one operand: converted and checked finite once, then
+    given the state (ranks, row norms) of each kernel a fast method fits
+    with, and reused by every fold's fit. Each fold runs one fit, of
+    fast-multi's candidates when fast-multi runs and of the inner product
+    alone otherwise. Held-out rows are predicted from the embedding the
+    fit already computed for them.
 
     fast-multi's record reads its fit's chosen branch and is charged the
     fit's wall time. fast-linear's record always reads the inner-product
-    branch, whose LDA and embedding are the same whichever fit holds it,
-    and is charged that branch's ``KernelScore.seconds`` (the fit's shared
-    set-up, the branch's embedding and its LDA step). Each adds its
-    prediction and an equal per-fold share of preparing its kernels:
-    fast-multi's candidates, or the inner product. Work the two methods
-    share counts in both records. Records keep the configured method order
-    within each fold; a fold runs its fits before the reference pipeline.
-    ``kernels`` is resolved whichever methods are configured, so an
-    unknown name raises ``UnknownKernel`` before any replicate runs.
+    branch, whose LDA and embedding do not depend on the other
+    candidates, and is charged that branch's ``KernelScore.seconds`` (the
+    fit's shared set-up, the branch's embedding and its LDA step). Each
+    adds its prediction and an equal per-fold share of preparing the
+    features: the conversion and check, which both methods share, and the
+    states of its own kernels, fast-multi's candidates or the inner
+    product. Work the two methods share counts in both records. Records
+    keep the configured method order within each fold; a fold runs its
+    fit before the reference pipeline. ``kernels`` is resolved whichever
+    methods are configured, so an unknown name raises ``UnknownKernel``,
+    and a custom kernel that takes a built-in's name ``InvalidParams``,
+    before any replicate runs.
     """
     candidates = _candidates(kernels)
     per_replicate = map_ordered(

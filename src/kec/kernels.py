@@ -56,20 +56,19 @@ call; a kept entry has finite norms and a finite positive s', so the
 expansion never yields NaN or +-inf.
 
 Every cross step takes two operands from ``_prepare``, the one place
-where an operand is converted to an aligned, C-contiguous float64 matrix,
-checked to be 2-D and finite (no kernel has a value for NaN or +-inf)
-and given its kernel's per-row state: row norms and their squares for
-distance, centered ranks and their sums of squares for spearman,
-nothing for linear and custom kernels. Each ``Kernel`` owns the function
-that computes that state. An operand used many times
-(a model's class means, a cross-validation replicate's features) is
-prepared once and passed to ``kernel_cross`` as it is; one prepared for
-another kernel keeps its checked rows and gets only the new state, so a
-fit converts and checks each block of rows once for all its kernels.
-State is per row, so ``_Prepared.row_slice`` cuts a prepared operand to
-a block of rows, bitwise equal to preparing that block: a fit embeds a
-replicate's prepared features block by block without preparing them
-again.
+where an operand is converted to an aligned, C-contiguous float64 matrix
+and checked to be 2-D and finite (no kernel has a value for NaN or
++-inf). A prepared operand holds those rows and a per-row state for each
+kernel it was prepared for: row norms and their squares for distance,
+centered ranks and their sums of squares for spearman, nothing for
+linear and custom kernels. Each ``Kernel`` owns its state's function,
+and the operand keeps each state under that function. An operand used
+many times (a model's class means, a cross-validation replicate's
+features) is prepared once for all its kernels; preparing it again adds
+only the states it lacks. State is per row, so ``_Prepared.row_slice``
+cuts an operand and its states to a block of rows, bitwise equal to
+preparing that block. A built-in's name means the built-in: a custom
+kernel cannot take one (``resolve_kernel``).
 ``kernel_gram`` has no bitwise contract and uses BLAS for the inner product.
 """
 
@@ -81,7 +80,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateLength, DimensionMismatch, NonFiniteFeature, UnknownKernel
+from .errors import DegenerateLength, DimensionMismatch, InvalidParams
+from .errors import NonFiniteFeature, UnknownKernel
 
 # Identifier of the distance-to-kernel transform, written into every model
 # artifact; ``load_model`` rejects an artifact that names another one.
@@ -259,28 +259,22 @@ def _tied_sorted_ranks(s, sorted_c) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Prepared:
-    """An operand's rows plus their precomputed state for one kernel.
+    """An operand's checked rows plus their per-row state for each kernel.
 
     Reports the rows' shape and converts to them as an array, so shape
     checks and hashing see the plain matrix. ``inner`` may hold the linear
     cross of these rows with another operand's rows, as (those rows, the
     (n, K) matrix); a distance cross against that operand reads it as its
-    x.u (``_with_inner``). Preparing the operand for another kernel keeps
-    it; ``row_slice`` drops it.
+    x.u (``_with_inner``). Adding a state keeps it; ``row_slice`` drops it.
     """
 
     rows: np.ndarray  # (n, p) float64, C-contiguous and aligned
-    kernel: Kernel
-    state: tuple
+    states: dict  # a kernel's ``state`` function -> that state of these rows
     inner: tuple = ()
 
     @property
     def shape(self) -> tuple:
         return self.rows.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.rows.ndim
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.rows, dtype=dtype, copy=copy)
@@ -291,7 +285,8 @@ class _Prepared:
         State is per row, so the cut equals preparing those rows, bitwise.
         """
         return _Prepared(
-            self.rows[rows], self.kernel, tuple(a[rows] for a in self.state)
+            self.rows[rows],
+            {f: tuple(a[rows] for a in s) for f, s in self.states.items()},
         )
 
 
@@ -317,7 +312,7 @@ def _with_inner(X: _Prepared, U: _Prepared, inner: np.ndarray) -> _Prepared:
     ``inner`` as its x.u, which is bitwise what it would compute; against
     any other operand it computes x.u itself.
     """
-    return _Prepared(X.rows, X.kernel, X.state, (U.rows, inner))
+    return _Prepared(X.rows, X.states, (U.rows, inner))
 
 
 def _direct_sq_distances(X, U, direct, out) -> None:
@@ -354,7 +349,7 @@ def _sq_distances(X: _Prepared, U: _Prepared) -> np.ndarray:
     not above T (||x||^2 + ||u||^2), or not finite (operands are finite,
     so only S can overflow), is computed from x - u (module docstring).
     """
-    (_, sx), (_, su) = X.state, U.state
+    (_, sx), (_, su) = X.states[_distance_state], U.states[_distance_state]
     against, xu = X.inner or (None, None)
     X, U = X.rows, U.rows
     with np.errstate(over="ignore", invalid="ignore"):
@@ -370,7 +365,7 @@ def _sq_distances(X: _Prepared, U: _Prepared) -> np.ndarray:
 
 
 def _cross_distance(X: _Prepared, U: _Prepared) -> np.ndarray:
-    (nx, _), (nu, _) = X.state, U.state
+    (nx, _), (nu, _) = X.states[_distance_state], U.states[_distance_state]
     d = _sq_distances(X, U)
     np.sqrt(d, out=d)
     return (nx[:, None] + nu[None, :] - d) / 2.0
@@ -392,7 +387,7 @@ def _rank_products(cx: np.ndarray, cu: np.ndarray) -> np.ndarray:
 def _cross_spearman(X: _Prepared, U: _Prepared) -> np.ndarray:
     if X.shape[1] < 2:
         raise DegenerateLength("spearman needs vectors of length >= 2")
-    (cx, ssx), (cu, ssu) = X.state, U.state
+    (cx, ssx), (cu, ssu) = X.states[_rank_state], U.states[_rank_state]
     exact = X.shape[1] <= _EXACT_NUM_LENGTH
     num = _rank_products(cx, cu) if exact else _inner(cx, cu)
     den = np.sqrt(ssx[:, None] * ssu[None, :])
@@ -451,11 +446,13 @@ def resolve_kernel(kind) -> Kernel:
     """Turn a kernel name, Kernel, or scalar callable into a Kernel.
 
     A bare callable of signature (p-vector, p-vector) -> real is wrapped
-    with a generic (slow) pairwise loop.
+    with a generic (slow) pairwise loop. A built-in's name means the
+    built-in: a callable or Kernel that takes one but is not that
+    built-in object raises ``InvalidParams``.
     """
     if isinstance(kind, Kernel):
-        return kind
-    if isinstance(kind, str):
+        k = kind
+    elif isinstance(kind, str):
         try:
             return BUILTIN_KERNELS[kind]
         except KeyError:
@@ -463,30 +460,36 @@ def resolve_kernel(kind) -> Kernel:
                 f"unknown kernel {kind!r}; expected one of "
                 f"{sorted(BUILTIN_KERNELS)} or a Kernel/callable"
             ) from None
-    if callable(kind):
-        name = getattr(kind, "__name__", "custom")
-        return Kernel(name, kind, _loop_pairwise(kind))
-    raise UnknownKernel(f"cannot interpret {kind!r} as a kernel")
+    elif callable(kind):
+        k = Kernel(getattr(kind, "__name__", "custom"), kind, _loop_pairwise(kind))
+    else:
+        raise UnknownKernel(f"cannot interpret {kind!r} as a kernel")
+    if BUILTIN_KERNELS.get(k.name, k) is not k:
+        raise InvalidParams(f"custom kernel {k.name!r} takes a built-in kernel's name")
+    return k
 
 
 # ---------------------------------------------------------------------------
 # Matrix evaluation
 # ---------------------------------------------------------------------------
 
-def _prepare(A, kernel) -> _Prepared:
-    """A as an operand of ``kernel``'s cross step, with its per-row state.
+def _prepare(A, *kernels) -> _Prepared:
+    """A as an operand of the ``kernels``' cross steps, with their per-row state.
 
-    An operand already prepared for the kernel is returned as it is; one
-    prepared for another kernel keeps its rows, already converted and
-    checked, and its ``inner``, and gets this kernel's state. Raises
-    ``DimensionMismatch`` unless A is a matrix, and ``NonFiniteFeature``
-    (the one finiteness check of kernel operands) if it holds NaN or +-inf.
+    A raw matrix is converted and checked here, once; an operand already
+    prepared keeps its rows and its ``inner`` and gets only the states it
+    lacks. Raises ``DimensionMismatch`` unless A is a matrix, and
+    ``NonFiniteFeature`` (the one finiteness check of kernel operands) if
+    it holds NaN or +-inf.
     """
-    k = resolve_kernel(kernel)
+    # Plain loops: this runs on every cross step, a served row's included.
     if isinstance(A, _Prepared):
-        if A.kernel is k:
-            return A
-        return _Prepared(A.rows, k, k.state(A.rows), A.inner)
+        new = {}
+        for kernel in kernels:
+            fn = resolve_kernel(kernel).state
+            if fn not in A.states:
+                new[fn] = fn(A.rows)
+        return _Prepared(A.rows, {**A.states, **new}, A.inner) if new else A
     # Aligned as well as contiguous: numpy's sum-of-products loop would
     # copy a misaligned operand in chunks of its buffer size and split
     # the sums of rows longer than that.
@@ -495,7 +498,11 @@ def _prepare(A, kernel) -> _Prepared:
         raise DimensionMismatch("kernel matrices must be 2-D")
     if not np.isfinite(A).all():
         raise NonFiniteFeature("features contain NaN or infinite values")
-    return _Prepared(A, k, k.state(A))
+    states = {}
+    for kernel in kernels:
+        fn = resolve_kernel(kernel).state
+        states[fn] = fn(A)
+    return _Prepared(A, states)
 
 
 def kernel_cross(X, U, kernel) -> np.ndarray:

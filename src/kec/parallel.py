@@ -47,11 +47,11 @@ def _as_worker(fn):
 def fan_out_width(threads: int) -> int:
     """Threads a ``map_ordered`` call made here with ``threads`` would use.
 
-    That is ``threads`` (an integer of at least 1; no clamp applies) at
-    the top level and 1 on a fan-out's worker, where a nested call runs
+    That is ``threads`` (an integer of at least 1) capped at the CPU count
+    at the top level, and 1 on a fan-out's worker, where a nested call runs
     inline. A caller that splits its work into items sizes them from this.
     """
-    return 1 if getattr(_worker, "active", False) else threads
+    return 1 if getattr(_worker, "active", False) else min(threads, os.cpu_count() or 1)
 
 
 def map_ordered(fn, items, threads: int = 1) -> list:
@@ -59,16 +59,14 @@ def map_ordered(fn, items, threads: int = 1) -> list:
 
     The reduction is an ordered collect, so results never depend on the
     schedule; threads only change wall-clock time. Items are taken in
-    input order, so a caller that lists its longest items first keeps
-    the threads busy to the end. There is one level of fan-out: a call
-    made from inside another call's worker (a fit's row blocks inside a
-    cross-validation replicate) runs its items inline on
-    that worker's thread, so the busy threads never outnumber the
-    outermost call's ``threads``, an integer of at least 1 (no clamp applies).
+    input order. There is one level of fan-out: a call made from inside
+    another call's worker (a fit's row blocks inside a cross-validation
+    replicate) runs its items inline on that worker's thread, so the busy
+    threads never outnumber the outermost call's ``fan_out_width``.
     """
-    threads = check_count("threads", threads, 1)
+    threads = fan_out_width(check_count("threads", threads, 1))
     items = list(items)
-    if len(items) <= 1 or fan_out_width(threads) <= 1:
+    if len(items) <= 1 or threads <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(_as_worker(fn), items))

@@ -29,9 +29,7 @@ from .errors import (
     check_count,
 )
 from .kernels import (
-    BASELINE_KERNEL,
     DEFAULT_KERNELS,
-    DISTANCE_INDUCED,
     INNER_PRODUCT,
     Kernel,
     _prepare,
@@ -221,32 +219,32 @@ def fit(
     """Run the full multi-kernel pipeline and return the trained model.
 
     Class stats, weights and class means are built once, and the class
-    means are prepared once per kernel. The embedding step then fans out
-    over row blocks on ``threads`` workers. Each item embeds its block
-    for every candidate, into that kernel's preallocated (n, K) matrix:
-    it converts and checks the rows once (``kernels._prepare``), each
-    kernel's cross step derives its state from them (ranks, row norms),
-    so ranking buffers are bounded by the block, and the inner product
-    goes first, so that distance reuses the block's linear embedding as
-    its x.u. The block
-    count comes from the threads the fan-out really uses
+    means are prepared once, as one operand holding every candidate's
+    state (``kernels._prepare``). The embedding step then fans out over
+    row blocks on ``threads`` workers. Each item converts and checks its
+    block of rows once and embeds it for every candidate, into that
+    kernel's preallocated (n, K) matrix; each kernel's cross step derives
+    its state from the checked rows (ranks, row norms), so ranking
+    buffers are bounded by the block. The inner product goes first, so
+    that distance reuses the block's linear embedding as its x.u. The
+    block count comes from the threads the fan-out really uses
     (``parallel.fan_out_width``): one block when it runs inline, as on a
     worker of an enclosing fan-out, otherwise two per thread, and never
     more than n. A second, per-kernel step fits the LDA on the training
     rows and scores the cross-entropy. Rows embed independently, so the
     result is bitwise the same for every thread count and schedule. The
-    candidate set must contain the inner product, which anchors the
-    switching rule. Both ``switch_threshold`` (finite, > 0) and
-    ``threads`` (integer >= 1) are checked.
+    candidate set must contain the inner product, ``kernels.INNER_PRODUCT``,
+    which anchors the switching rule; a custom kernel cannot take its
+    name. Both ``switch_threshold`` (finite, > 0) and ``threads`` (integer
+    >= 1) are checked.
 
     Each ``KernelScore.seconds`` is the time its branch cost, on a
     monotonic clock: the fit's shared set-up (label checks, weights, class
     means and their preparation), plus the busy time of that kernel's
-    embedding of each row block, plus its LDA step. The first kernel of a
-    block, the inner product when it is a candidate, pays for converting
-    and checking the block, and distance's x.u is paid by the inner
-    product. It is a sum of work, not a span of wall time, so branches
-    that ran side by side each count their own.
+    embedding of each row block, plus its LDA step. The inner product
+    also pays for converting and checking each block, and for distance's
+    x.u. It is a sum of work, not a span of wall time, so branches that
+    ran side by side each count their own.
 
     A kernel whose embedding, LDA covariance or posteriors overflow
     float64 fails the whole fit with ``NumericOverflow``: the inner
@@ -257,25 +255,22 @@ def fit(
     finite (``NonFiniteFeature``). Class means that are not finite are
     built before any row is prepared, so the features are checked first.
 
-    ``_prepared`` is private to ``cross_validate``: a mapping from
-    candidate Kernel to ``kernels._prepare(dataset.features, kernel)``,
-    so the folds of one replicate share one preparation of their common
-    features. Its items are cut to each block with ``row_slice``; a
-    candidate it lacks is prepared from the block's other operands.
+    ``_prepared`` is private to ``cross_validate``: the replicate's
+    features as one operand from ``kernels._prepare``, converted and
+    checked once, with the states of the kernels it was prepared for, so
+    the folds of one replicate share them. Each block cuts it with
+    ``row_slice`` instead of preparing its rows.
     """
     _check_switch_threshold(switch_threshold)
     threads = check_count("threads", threads, 1)
     candidates = _candidates(kernels)
     if not candidates:
         raise NoBaselineKernel("kernel list is empty")
-    try:
-        baseline = next(
-            m for m, k in enumerate(candidates) if k.name == BASELINE_KERNEL
-        )
-    except StopIteration:
+    if INNER_PRODUCT not in candidates:
         raise NoBaselineKernel(
             "candidate kernels must include the inner product ('linear')"
-        ) from None
+        )
+    baseline = candidates.index(INNER_PRODUCT)
 
     start = time.perf_counter()
     stats = _label_stats(dataset)
@@ -286,36 +281,28 @@ def fit(
         if not np.isfinite(class_means).all():
             validate(dataset)
             _finite(class_means, "the class means")
-        U = _prepare(class_means, INNER_PRODUCT)
-        means = [_prepare(U, k) for k in candidates]
-    prepared = _prepared or {}
+        U = _prepare(class_means, *candidates)
     embeddings = [np.empty((dataset.n, dataset.num_classes)) for _ in candidates]
     spent = [time.perf_counter() - start] * len(candidates)
     # The inner product goes first in a block, so distance can take its x.u.
-    order = sorted(
-        range(len(candidates)), key=lambda m: candidates[m] is not INNER_PRODUCT
-    )
+    order = [baseline] + [m for m in range(len(candidates)) if m != baseline]
 
     def embed_block(rows):
         busy = [0.0] * len(candidates)
-        X = xu = None
-        for m in order:
-            start = time.perf_counter()
-            kernel = candidates[m]
-            with np.errstate(over="ignore", invalid="ignore"):
-                if kernel in prepared:
-                    X = prepared[kernel].row_slice(rows)
-                elif X is None:
-                    # Converted and checked here, once; each kernel's state
-                    # is added to these rows inside its cross step.
-                    X = _prepare(dataset.features[rows], INNER_PRODUCT)
-                if kernel is DISTANCE_INDUCED and xu is not None:
-                    X = _with_inner(X, means[m], xu)
-                Z = embed(X, means[m], kernel)
-            embeddings[m][rows] = Z
-            if kernel is INNER_PRODUCT:
-                xu = Z
-            busy[m] = time.perf_counter() - start
+        start = time.perf_counter()
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Converted and checked once for all kernels; a kernel whose
+            # state the rows lack derives it in its cross step.
+            if _prepared is None:
+                X = _prepare(dataset.features[rows])
+            else:
+                X = _prepared.row_slice(rows)
+            for m in order:
+                embeddings[m][rows] = embed(X, U, candidates[m])
+                if m == baseline:  # later cross steps see the block's x.u
+                    X = _with_inner(X, U, embeddings[m][rows])
+                now = time.perf_counter()
+                busy[m], start = now - start, now
         return busy
 
     blocks = _row_blocks(dataset.n, fan_out_width(threads))

@@ -27,11 +27,6 @@ from kec.simgen import SimSetting, generate
 from helpers import orthant_dataset, random_dataset
 
 
-def linear(x, u):
-    """A custom kernel named like the inner product, but another kernel."""
-    return float(np.dot(x, u))
-
-
 class TestKfold:
     def test_even_split(self):
         folds = kfold_split(10, 5, seed=0)
@@ -158,28 +153,24 @@ class TestCrossValidate:
     @pytest.mark.parametrize(
         "methods, kernels, per_fold",
         [
-            (("fast-linear",), DEFAULT_KERNELS, [(1, True)]),
-            (("fast-linear", "fast-multi"), DEFAULT_KERNELS, [(3, True)]),
-            (("fast-multi", "fast-linear"), DEFAULT_KERNELS, [(3, True)]),
-            (("reference", "fast-linear", "fast-multi"), DEFAULT_KERNELS, [(3, True)]),
-            # a custom kernel named "linear" is not the inner product, so
-            # fast-linear fits itself, after fast-multi
-            (
-                ("fast-linear", "fast-multi"),
-                (linear, "distance"),
-                [(2, False), (1, True)],
-            ),
+            (("fast-linear",), DEFAULT_KERNELS, [("linear",)]),
+            (("fast-linear", "fast-multi"), DEFAULT_KERNELS, [DEFAULT_KERNELS]),
+            (("fast-multi", "fast-linear"), DEFAULT_KERNELS, [DEFAULT_KERNELS]),
+            (("reference", "fast-linear", "fast-multi"), DEFAULT_KERNELS, [DEFAULT_KERNELS]),
+            (("fast-linear", "fast-multi"), ("spearman", "linear"), [("spearman", "linear")]),
+            (("reference",), DEFAULT_KERNELS, []),
         ],
     )
     def test_one_fit_per_fold_for_the_fast_methods(
         self, monkeypatch, methods, kernels, per_fold
     ):
-        """fast-linear reads fast-multi's inner-product branch when it has one."""
+        """A fold fits fast-multi's candidates when it runs, else the inner
+        product; fast-linear reads that fit's inner-product branch."""
         fits = []
         real_fit = evaluation.fit
 
         def spy(dataset, use, *args, **kwargs):
-            fits.append((len(use), use[0] is INNER_PRODUCT))
+            fits.append(tuple(k.name for k in use))
             return real_fit(dataset, use, *args, **kwargs)
 
         monkeypatch.setattr(evaluation, "fit", spy)
@@ -196,34 +187,34 @@ class TestCrossValidate:
         "methods", [("fast-multi", "fast-linear"), ("fast-linear",)]
     )
     def test_features_checked_once_per_replicate(self, monkeypatch, methods):
-        """A replicate prepares, and so checks, its features once per kernel.
+        """A replicate converts and checks its features once, then adds the
+        state of each kernel its fit uses.
 
-        Fold fits embed cuts of those prepared features and never prepare a
-        raw n-row operand; a NaN feature still raises ``NonFiniteFeature``.
+        Fold fits embed cuts of that one operand and never prepare a raw
+        n-row operand; a NaN feature still raises ``NonFiniteFeature``.
         """
-        calls, depth = [], [0]
-        real_prepare, real_fit = kmod._prepare, evaluation.fit
+        raw, states = [], []
+        real_prepare = kmod._prepare
 
-        def prepare(A, kernel):
+        def prepare(A, *kernels):
             if not isinstance(A, kmod._Prepared) and np.shape(A)[0] == 40:
-                calls.append((depth[0] > 0, kmod.resolve_kernel(kernel).name))
-            return real_prepare(A, kernel)
+                raw.append(kernels)
+            return real_prepare(A, *kernels)
 
-        def fit(*args, **kwargs):
-            depth[0] += 1
-            try:
-                return real_fit(*args, **kwargs)
-            finally:
-                depth[0] -= 1
+        def add_states(A, *kernels):
+            if isinstance(A, kmod._Prepared):
+                states.extend(kmod.resolve_kernel(k).name for k in kernels)
+            return prepare(A, *kernels)
 
-        for mod in (kmod, selection, evaluation):
+        for mod in (kmod, selection):
             monkeypatch.setattr(mod, "_prepare", prepare)
-        monkeypatch.setattr(evaluation, "fit", fit)
+        monkeypatch.setattr(evaluation, "_prepare", add_states)
         ds = random_dataset(np.random.default_rng(18), 40, 5, 2, scale=2.0)
         config = EvalConfig(folds=4, replicates=3, seed=19, methods=methods)
         cross_validate(ds, config)
+        assert raw == [()] * 3
         names = DEFAULT_KERNELS if "fast-multi" in methods else ("linear",)
-        assert sorted(calls) == sorted((False, name) for name in names * 3)
+        assert states == list(names) * 3
         features = ds.features.copy()
         features[5, 1] = np.nan
         with pytest.raises(NonFiniteFeature):
@@ -233,20 +224,25 @@ class TestCrossValidate:
         "methods", [("fast-linear",), ("fast-linear", "fast-multi")]
     )
     def test_fast_linear_is_charged_its_preparation(self, monkeypatch, methods):
-        """fast-linear's records share preparing the inner-product operand."""
+        """Both fast methods are charged converting and checking the
+        features, and each the states of its own kernels only."""
         real_prepare = evaluation._prepare
+        sleep = {(): 0.1, ("linear",): 0.1, ("spearman",): 0.8}
 
-        def prepare(A, kernel):
-            if kernel is INNER_PRODUCT:
-                time.sleep(0.2)
-            return real_prepare(A, kernel)
+        def prepare(A, *kernels):
+            time.sleep(sleep.get(tuple(kmod.resolve_kernel(k).name for k in kernels), 0))
+            return real_prepare(A, *kernels)
 
         monkeypatch.setattr(evaluation, "_prepare", prepare)
         ds = random_dataset(np.random.default_rng(20), 40, 5, 2, scale=2.0)
         config = EvalConfig(folds=4, replicates=1, seed=21, methods=methods)
         report = cross_validate(ds, config)
-        seconds = [r.seconds for r in report.records if r.method == "fast-linear"]
-        assert len(seconds) == 4 and min(seconds) >= 0.05
+        seconds = {
+            m: [r.seconds for r in report.records if r.method == m] for m in methods
+        }
+        assert len(seconds["fast-linear"]) == 4 and min(seconds["fast-linear"]) >= 0.05
+        if "fast-multi" in methods:
+            assert min(seconds["fast-multi"]) >= 0.25 > max(seconds["fast-linear"])
 
     def test_methods_share_folds_and_agree_on_linear_pipelines(self):
         # fast-linear and reference are the same classifier computed two
@@ -290,10 +286,10 @@ class TestCrossValidate:
         labels[test_idx] = 0
         masked = Dataset(features, labels, 3)
         linear_fit = fit(masked, (INNER_PRODUCT,))
-        fitted = [(linear_fit, 0.0)]
+        fitted = linear_fit, 0.0
         if method in ("fast-multi", "derived"):
             # fast-linear derived: it reads fast-multi's inner-product branch
-            fitted = [(fit(masked, (INNER_PRODUCT, "spearman")), 0.0)]
+            fitted = fit(masked, (INNER_PRODUCT, "spearman")), 0.0
             method = "fast-linear" if method == "derived" else method
         elif method == "reference":
             embedding = linear_fit.scores[0].embedding

@@ -1,9 +1,15 @@
+import os
 import threading
 
+import numpy as np
 import pytest
 
+import kec.parallel as parallel
+from kec import fit
 from kec.errors import InvalidParams
 from kec.parallel import ENV_THREADS, fan_out_width, map_ordered, resolve_threads
+
+from helpers import random_dataset
 
 
 def test_explicit_value_wins(monkeypatch):
@@ -50,7 +56,8 @@ def test_nested_call_runs_inline_on_its_worker():
         assert [w for _, w in inner] == list(range(5 * v, 5 * v + 5))
 
 
-def test_top_level_call_fans_out():
+def test_top_level_call_fans_out(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     # Each of the first two items waits for the other, so they can only
     # finish if two threads run them at once.
     barrier = threading.Barrier(2, timeout=10)
@@ -64,7 +71,40 @@ def test_top_level_call_fans_out():
     assert len(set(idents[:2])) == 2
 
 
-
-def test_fan_out_width_is_one_on_a_worker():
+def test_fan_out_width_is_one_on_a_worker(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert [fan_out_width(t) for t in (1, 2, 3)] == [1, 2, 3]
     assert map_ordered(lambda t: fan_out_width(t), [2, 3], threads=2) == [1, 1]
+
+
+@pytest.mark.parametrize("cpus, width", [(3, 3), (None, 1)])
+def test_threads_are_capped_at_the_cpu_count(monkeypatch, cpus, width):
+    """A huge thread count starts no more workers than the machine has CPUs.
+
+    The executor is a stand-in that records its width and runs the items
+    inline, so no thread is started.
+    """
+    widths = []
+
+    class Executor:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Executor)
+    assert fan_out_width(100000) == width
+    assert map_ordered(lambda v: v * v, range(5), threads=100000) == [0, 1, 4, 9, 16]
+    assert widths == ([width] if width > 1 else [])
+    ds = random_dataset(np.random.default_rng(0), 50, 4, 2)
+    assert fit(ds, threads=100000).kernel_ids == ("linear", "distance", "spearman")
+    # one fan-out for the row blocks, one for the kernels' LDA steps
+    assert widths == ([width] * 3 if width > 1 else [])

@@ -1,10 +1,12 @@
 import math
+import os
 import sys
 
 import numpy as np
 import pytest
 
 import kec.encoder
+import kec.evaluation
 import kec.kernels
 from kec import Dataset
 from kec.encoder import embed
@@ -33,9 +35,13 @@ from kec.simgen import SimSetting, generate
 from helpers import random_dataset, rescaled_pattern_dataset
 
 
+# Custom kernels that take a built-in's name, and so are refused.
 def linear(x, u):
-    """A custom kernel named like the inner product, but another kernel."""
     return float(np.dot(x, u))
+
+
+def distance(x, u):
+    return float(-np.sum((x - u) ** 2))
 
 
 class TestCrossEntropy:
@@ -78,7 +84,7 @@ def _model_arrays(model, X):
         lda.whiten,
         lda.log_priors,
         np.asarray(model.prepared_means),
-        *getattr(model.prepared_means, "state", ()),
+        *model.prepared_means.states[model.kernel.state],
         *predict_new(model, X),
     ]
 
@@ -153,7 +159,6 @@ class TestFit:
         [
             ("linear", "spearman", "spearman"),
             ("linear", kec.kernels.INNER_PRODUCT),
-            ("linear", linear),
         ],
     )
     def test_repeated_kernels_rejected(self, kernels):
@@ -163,6 +168,39 @@ class TestFit:
             fit(ds, kernels=kernels)
         with pytest.raises(InvalidParams, match="must not repeat"):
             cross_validate(ds, EvalConfig(folds=2, replicates=1), kernels)
+
+    @pytest.mark.parametrize(
+        "look_alike",
+        [
+            linear,
+            distance,
+            kec.kernels.Kernel(
+                "spearman", kec.kernels.spearman, kec.kernels.SPEARMAN_RANK.pairwise
+            ),
+        ],
+        ids=["callable linear", "callable distance", "Kernel spearman"],
+    )
+    @pytest.mark.parametrize("methods", [("fast-linear",), ("fast-linear", "fast-multi")])
+    def test_builtin_names_mean_the_builtins(self, monkeypatch, look_alike, methods):
+        """A custom kernel that takes a built-in's name raises InvalidParams,
+        one line, wherever a kernel is resolved; cross-validation raises it
+        before any replicate runs, whichever methods are configured."""
+        ds = random_dataset(np.random.default_rng(2), 40, 5, 2)
+
+        def replicate(*args):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(kec.evaluation, "_run_replicate", replicate)
+        config = EvalConfig(folds=2, replicates=1, methods=methods)
+        for call in (
+            lambda: kec.kernels.resolve_kernel(look_alike),
+            lambda: fit(ds, ("linear", look_alike)),
+            lambda: kernel_cross(ds.features, ds.features[:3], look_alike),
+            lambda: cross_validate(ds, config, (look_alike,)),
+        ):
+            with pytest.raises(InvalidParams, match="takes a built-in kernel's name") as err:
+                call()
+            assert "\n" not in str(err.value)
 
     def test_cross_entropies_recorded_in_candidate_order(self):
         ds = generate(SimSetting("uniform-hd", n=80, p=12, num_classes=3, seed=2))
@@ -249,6 +287,7 @@ class TestFit:
         assert calls == {"cross": 3, "gram": 0}
 
     def test_row_blocks_follow_the_threads_the_fan_out_uses(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         rows = []
         real_cross = kec.encoder.kernel_cross
 
@@ -266,10 +305,12 @@ class TestFit:
         map_ordered(lambda _: fit(ds, threads=2), range(2), threads=2)
         assert rows == [50] * 6
 
-    def test_row_blocks_survive_frequent_thread_switches(self):
+    def test_row_blocks_survive_frequent_thread_switches(self, monkeypatch):
         # Workers write disjoint row blocks of shared embedding matrices;
         # more workers than cores and a tiny switch interval would expose
-        # a lost or misplaced block as a changed bit.
+        # a lost or misplaced block as a changed bit. The fan-out starts
+        # at most os.cpu_count() workers, so it reports six CPUs here.
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
         ds = rescaled_pattern_dataset(n=301, p=16, k=3, seed=17)
         want = [s.embedding.tobytes() for s in fit(ds).scores]
         interval = sys.getswitchinterval()
@@ -286,7 +327,7 @@ class TestFit:
         ds = rescaled_pattern_dataset(n=90, p=12, k=3, seed=16)
         ds = Dataset(np.round(ds.features, 1), ds.labels, ds.num_classes)
         kernels = [BUILTIN_KERNELS[name] for name in ("linear", "distance", "spearman")]
-        prepared = {k: _prepare(ds.features, k) for k in kernels}
+        prepared = _prepare(ds.features, *kernels)
         plain = fit(ds, kernels, threads=threads)
         shared = fit(ds, kernels, threads=threads, _prepared=prepared)
         assert plain.kernel is shared.kernel
