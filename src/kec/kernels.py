@@ -62,10 +62,17 @@ and checked to be 2-D and finite (no kernel has a value for NaN or
 kernel it was prepared for: row norms and their squares for distance,
 centered ranks and their sums of squares for spearman, nothing for
 linear and custom kernels. Each ``Kernel`` owns its state's function,
-and the operand keeps each state under that function. An operand used
-many times (a model's class means, a cross-validation replicate's
-features) is prepared once for all its kernels; preparing it again adds
-only the states it lacks. State is per row, so ``_Prepared.row_slice``
+and the operand keeps each state under that function. A state is built
+in row pieces of at most ``_CHUNK_ELEMS`` (2^16) elements, one row at
+least: ranking's packed keys, order, proof and tie pass, and the squares
+behind the row norms, hold one piece at a time and write into the
+state's full arrays. So preparing an n x p operand for spearman peaks at
+its ranks (n p 8 bytes) plus a fixed budget of pieces, and for distance
+well below the operand (its finiteness scan's n p booleans); a
+``threads=1`` fit of 10000 x 400 peaks at about 1.1 n p 8 bytes. An
+operand used many times (a model's class means, a cross-validation
+replicate's features) is prepared once for all its kernels; preparing it
+again adds only the states it lacks. State is per row, so ``_Prepared.row_slice``
 cuts an operand and its states to a block of rows, bitwise equal to
 preparing that block. A built-in's name means the built-in: a custom
 kernel cannot take one (``resolve_kernel``).
@@ -87,8 +94,10 @@ from .errors import NonFiniteFeature, UnknownKernel
 # artifact; ``load_model`` rejects an artifact that names another one.
 DISTANCE_TRANSFORM = "origin-centered"
 
-# Cap on the difference buffer of the distance rows computed from x - u,
-# in elements: 512 KiB stays in cache between its write and its read.
+# The row-piece budget, in elements, of every operand-sized temporary:
+# ranking's keys and order, the squares behind row norms and the
+# difference buffer of distance entries computed from x - u. 512 KiB per
+# float64 or int64 array stays in cache between its write and its read.
 _CHUNK_ELEMS = 1 << 16
 
 
@@ -139,9 +148,23 @@ def _no_state(A: np.ndarray) -> tuple:
     return ()
 
 
+def _piece_rows(p: int) -> int:
+    """Rows per piece of p columns: ``_CHUNK_ELEMS`` elements at most, one row at least."""
+    return max(1, _CHUNK_ELEMS // max(1, p))
+
+
 def _distance_state(A: np.ndarray) -> tuple:
-    """Row norms along the trailing axis, and their squares (explicit square-sums)."""
-    sq = np.sum(A * A, axis=-1)
+    """Row norms of a matrix, and their squares (explicit square-sums).
+
+    Each piece of rows is squared and summed on its own, so the square
+    never holds more than one piece; a row's ``np.sum`` is the same
+    whatever rows share its call.
+    """
+    sq = np.empty(A.shape[0])
+    step = _piece_rows(A.shape[1])
+    for lo in range(0, A.shape[0], step):
+        piece = A[lo : lo + step]
+        np.sum(piece * piece, axis=-1, out=sq[lo : lo + step])
     return np.sqrt(sq), sq
 
 
@@ -176,24 +199,37 @@ def _rank_state(a) -> tuple:
     tie-free row shares one constant and only rows with ties are summed.
     Values must be finite. Each row's ascending order comes from
     ``_ascending_order``; average ranks do not depend on which ascending
-    order is used.
+    order is used. Rows are ranked in pieces of at most ``_CHUNK_ELEMS``
+    elements (``_rank_piece``); a row's ranks and sum never depend on the
+    other rows of its piece.
     """
     a = np.asarray(a, dtype=np.float64)
     p = a.shape[-1]
     flat = a.reshape(math.prod(a.shape[:-1]), p)
-    # One scatter through the flat indices of each row's ascending order
-    # writes the ranks.
-    order, tie_rows, tie_sorted = _ascending_order(flat)
     sorted_c = np.arange(p) - (p - 1) / 2.0
     c = np.empty(flat.shape)
-    c.reshape(-1)[order] = sorted_c
     ss = np.full(flat.shape[0], (p**3 - p) / 12)  # sum of sorted_c ** 2
+    step = _piece_rows(p)
+    for lo in range(0, flat.shape[0], step):
+        rows = slice(lo, lo + step)
+        _rank_piece(flat[rows], sorted_c, c[rows], ss[rows])
+    return c.reshape(a.shape), ss.reshape(a.shape[:-1])
+
+
+def _rank_piece(flat, sorted_c, c, ss) -> None:
+    """``_rank_state`` of the rows ``flat``, written into their rows ``c`` and ``ss``.
+
+    One scatter through the flat indices of each row's ascending order
+    writes the ranks; ``ss`` holds the tie-free sum and is summed anew only
+    for rows with ties (or every row, past ``_EXACT_SS_LENGTH``).
+    """
+    order, tie_rows, tie_sorted = _ascending_order(flat)
+    c.reshape(-1)[order] = sorted_c
     if tie_rows.size:
         c.reshape(-1)[order[tie_rows]] = _tied_sorted_ranks(tie_sorted, sorted_c)
         ss[tie_rows] = np.sum(c[tie_rows] ** 2, axis=-1)
-    if p > _EXACT_SS_LENGTH:
-        ss = np.sum(c * c, axis=-1)
-    return c.reshape(a.shape), ss.reshape(a.shape[:-1])
+    if flat.shape[1] > _EXACT_SS_LENGTH:
+        np.sum(c * c, axis=-1, out=ss)
 
 
 def _ascending_order(flat) -> tuple:
@@ -328,7 +364,7 @@ def _direct_sq_distances(X, U, direct, out) -> None:
     if not direct.any():
         return
     n, p = X.shape
-    step = max(1, min(n, _CHUNK_ELEMS // max(1, p)))
+    step = min(n, _piece_rows(p))
     d, sums = np.empty((step, p)), np.empty((max(step, 2), U.shape[0]))
     for lo in range(0, n, step):
         c = min(step, n - lo)

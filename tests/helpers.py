@@ -1,4 +1,6 @@
-"""Shared dataset constructors for the test suite."""
+"""Shared dataset constructors and measurements for the test suite."""
+
+import tracemalloc
 
 import numpy as np
 
@@ -40,3 +42,13 @@ def orthant_dataset(n=120, k=3, jitter=1e-3, seed=0):
     corners[np.arange(k), np.arange(k)] = 10.0
     x = corners[labels - 1] + jitter * rng.normal(size=(n, k))
     return Dataset(x, labels, k)
+
+
+def peak_bytes(run) -> int:
+    """Peak bytes that numpy and Python allocate while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

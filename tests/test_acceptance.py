@@ -6,7 +6,6 @@ run time.
 """
 
 import time
-import tracemalloc
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from kec.reference import embed_reference
 from kec.selection import cross_entropy
 from kec.simgen import SimSetting, analytic_means, generate
 
-from helpers import random_dataset, rescaled_pattern_dataset
+from helpers import peak_bytes, random_dataset, rescaled_pattern_dataset
 
 DESK = dict(p=500, num_classes=5)
 
@@ -299,16 +298,6 @@ def test_c8_property_battery(tmp_path):
     _report(8, "property suites", not failing, f"failing: {failing or 'none'}")
 
 
-def _peak_bytes(run) -> int:
-    """Peak bytes that numpy and Python allocate while ``run()`` runs."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _slope(ns, values) -> float:
     return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
 
@@ -329,11 +318,11 @@ def test_c9_no_n_by_n_matrix():
     for n in ns:
         ds = generate(SimSetting("normal-hd", n=n, p=p, num_classes=5, seed=0))
         shifted = Dataset(ds.features + 1e9, ds.labels, ds.num_classes)
-        fast.append(_peak_bytes(lambda: fit(ds, threads=2)))
-        offset.append(_peak_bytes(lambda: fit(shifted, threads=2)))
-        ref.append(_peak_bytes(lambda: embed_reference(ds, "linear")))
+        fast.append(peak_bytes(lambda: fit(ds, threads=2)))
+        offset.append(peak_bytes(lambda: fit(shifted, threads=2)))
+        ref.append(peak_bytes(lambda: embed_reference(ds, "linear")))
     X, U = (_prepare(a, "distance") for a in (shifted.features, shifted.features[:5]))
-    cross = _peak_bytes(lambda: kernel_cross(X, U, "distance")) / (ns[-1] * p * 8)
+    cross = peak_bytes(lambda: kernel_cross(X, U, "distance")) / (ns[-1] * p * 8)
     elapsed = time.perf_counter() - start
     slopes = [_slope(ns, v) for v in (fast, offset, ref)]
     worst = max(b / (n * p * 8) for v in (fast, offset) for n, b in zip(ns, v))

@@ -17,6 +17,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.stats import rankdata
 
 import kec.encoder
+import kec.kernels as kmod
 import kec.evaluation as evaluation
 from kec import Dataset, embed, fit, predict_new
 from kec.errors import (
@@ -398,6 +399,55 @@ def test_row_slice_equals_preparing_the_rows(a, names, start, stop):
         assert len(cut.states[fn]) == len(state)
         for got, expected in zip(cut.states[fn], state):
             assert _same_bits(got, expected)
+
+
+def _piece_rows_operand(rng, n, p):
+    """An (n, p) operand mixing plain, tied, near-tied and adversarial rows.
+
+    A near-tied row holds pairs of neighbouring floats whose packed keys
+    sort the larger value first (same high bits, smaller column), so it
+    takes the argsort redo of ``_ascending_order``; tied rows take the
+    tie pass. Each row draws its kind, so every kind lands in any piece.
+    """
+    a = rng.normal(size=(n, p))
+    kind = rng.integers(0, 4, n)
+    a[kind == 1] = rng.integers(0, 3, size=(int((kind == 1).sum()), p))
+    mask = np.int64((1 << max(p - 1, 0).bit_length()) - 1)
+    bits = np.abs(a[kind == 2]).view(np.int64) & ~mask
+    bits[:, 1::2] = bits[:, 0 : p - 1 : 2]
+    bits[:, 0 : p - 1 : 2] |= 1
+    a[kind == 2] = bits.view(np.float64)
+    a[kind == 3] = _adversarial_bits(rng, int((kind == 3).sum()), p).view(np.float64)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 8, 65, 300]),
+    piece=st.integers(1, 5),
+    pieces=st.integers(1, 4),
+    edge=st.sampled_from([-1, 0, 1]),
+    wide=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=kmod._CHUNK_ELEMS + 3, piece=1, pieces=2, edge=1, wide=False, seed=1)
+def test_states_in_row_pieces_equal_the_whole_operand(p, piece, pieces, edge, wide, seed):
+    """Ranks, rank sums of squares, norms and squared norms built in row
+    pieces equal those of the whole operand as one piece, bitwise, at
+    k * piece +- 1 rows and for rows wider than one piece."""
+    budget = max(1, p // 2) if wide else piece * p
+    n = max(1, pieces * piece + edge)
+    a = _piece_rows_operand(np.random.default_rng(seed), n, p)
+    with np.errstate(over="ignore"):
+        with mock.patch.object(kmod, "_CHUNK_ELEMS", n * p):
+            whole = _rank_state(a) + _distance_state(a)
+        if p > kmod._CHUNK_ELEMS:  # the example: wider than the real budget
+            got = _rank_state(a) + _distance_state(a)
+        else:
+            with mock.patch.object(kmod, "_CHUNK_ELEMS", budget):
+                got = _rank_state(a) + _distance_state(a)
+    for g, w in zip(got, whole):
+        assert _same_bits(g, w)
 
 
 @settings(max_examples=60, deadline=None)

@@ -142,3 +142,39 @@ class TestContracts:
             SimSetting("uniform-hd", n=0, p=10, num_classes=2)
         with pytest.raises(InvalidParams, match="seed must be non-negative, got -1"):
             SimSetting("uniform-hd", n=10, p=10, num_classes=2, seed=-1)
+
+
+def _documented_draws(setting):
+    """A setting rebuilt from the module docstring's whole-matrix draws."""
+    rng = np.random.default_rng(setting.seed)
+    n, p, k = setting.n, setting.p, setting.num_classes
+    labels = rng.integers(1, k + 1, size=n)
+    if setting.name.startswith("uniform"):
+        x = rng.uniform(0.0, 1.0, size=(n, p))
+        signal, noise_scale = rng.uniform(1.0, 3.0, size=n), 0.5
+    else:
+        x = rng.normal(1.0, 1.0, size=(n, p))
+        signal, noise_scale = rng.normal(8.0, 1.0, size=n), 2.0
+    x[np.arange(n), labels - 1] = signal
+    if not setting.name.endswith("-hd"):
+        x += noise_scale * rng.uniform(0.0, 1.0, size=(n, p))
+    transform = None
+    if setting.name.endswith("-transformed"):
+        transform = rng.uniform(0.0, 1.0, size=(p, p))
+        x = x @ transform
+    return x, labels, transform
+
+
+# At p = 300 a noise piece holds 218 rows: 217 rows fit in one piece and
+# 437 rows end one row into a third.
+@pytest.mark.parametrize("name", SETTINGS)
+@pytest.mark.parametrize("n, p", [(1, 5), (217, 300), (437, 300)])
+def test_in_place_draws_equal_the_documented_calls(name, n, p):
+    for seed in (0, 7):
+        setting = SimSetting(name, n=n, p=p, num_classes=5, seed=seed)
+        ds, transform = generate_with_transform(setting)
+        x, labels, want = _documented_draws(setting)
+        assert ds.features.tobytes() == x.tobytes()
+        assert ds.labels.tobytes() == labels.tobytes()
+        assert (transform is None) == (want is None)
+        assert transform is None or transform.tobytes() == want.tobytes()
